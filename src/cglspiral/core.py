@@ -32,9 +32,16 @@ from scipy.integrate import cumulative_simpson, solve_bvp, solve_ivp
 from scipy.interpolate import CubicSpline
 
 __all__ = [
-    "CoreProfile", "TailConstant", "core_series", "far_profile",
-    "solve_profile", "v_inner", "tail_constant", "property_scan",
+    "CoreProfile", "TailConstant", "core_series", "series_moment",
+    "far_profile", "solve_profile", "v_inner", "tail_constant",
+    "property_scan",
 ]
+
+# series cut: every collocation solve enters the origin through
+# core_series at this radius
+R_START = 1e-3
+# collocation node budget of every solve_bvp call
+MAX_NODES = 200000
 
 
 def core_series(n, c, r):
@@ -53,6 +60,11 @@ def core_series(n, c, r):
     df = c * (n * r ** (n - 1) + (n + 2) * a2 * r ** (n + 1)
               + (n + 4) * a4 * r ** (n + 3))
     return f, df
+
+
+def series_moment(n, c, r):
+    """Leading moment c^2 r^(2n+2)/(2n+2) of xi f^2 below the series cut."""
+    return c * c * r ** (2 * n + 2) / (2 * n + 2)
 
 
 def far_profile(n, r):
@@ -91,8 +103,7 @@ class CoreProfile:
         grid = np.geomspace(self.r_start, self.r_max, 30001)
         f = self.sol(grid)[0]
         vals = cumulative_simpson(grid * f * f, x=grid, initial=0.0)
-        vals += self.c_f ** 2 * self.r_start ** (2 * self.n + 2) \
-            / (2 * self.n + 2)
+        vals += series_moment(self.n, self.c_f, self.r_start)
         return CubicSpline(grid, vals)
 
     def _split(self, r):
@@ -133,8 +144,7 @@ class CoreProfile:
             i2[mid] = self._i2_spline(r[mid])
         if lo.any():
             # leading behavior of both integrands is c^2 xi^(2n+1)
-            c2 = self.c_f * self.c_f
-            lead = c2 * r[lo] ** (2 * self.n + 2) / (2 * self.n + 2)
+            lead = series_moment(self.n, self.c_f, r[lo])
             i1[lo] = lead
             i2[lo] = lead
         if hi.any():
@@ -154,11 +164,11 @@ class CoreProfile:
 
 
 @lru_cache(maxsize=32)
-def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900, r_start=1e-3):
+def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     """Solve the core equation for an n-armed profile by collocation.
 
     The rise coefficient c_f is carried as the unknown parameter; the
-    origin is entered through the exact series at r_start (three orders
+    origin is entered through the exact series at R_START (three orders
     deep) and the far end through the algebraic tail at r_max.
 
     Returns
@@ -182,38 +192,32 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900, r_start=1e-3):
 
     def bc(ya, yb, p):
         c = p[0]
-        fs, gs = core_series(n, c, r_start)
-        lead = c * c * r_start ** (2 * n + 2) / (2 * n + 2)
+        fs, gs = core_series(n, c, R_START)
         return np.array([
             ya[0] - fs,
             ya[1] - gs,
-            ya[2] - lead,
+            ya[2] - series_moment(n, c, R_START),
             yb[0] - far_f,
         ])
 
-    r = np.geomspace(r_start, r_max, n_mesh)
+    r = np.geomspace(R_START, r_max, n_mesh)
     c0 = 0.6 * 4.0 ** (1 - n)
     f_init = np.tanh(np.clip(c0 * r ** n, 0.0, 20.0))
     g_init = np.gradient(f_init, r)
     i1_init = np.maximum(n * n * np.log(r), 0.0)
     y = np.vstack([f_init, g_init, i1_init])
-    sol = solve_bvp_checked(rhs, bc, r, y, p=[c0], tol=tol)
+    sol = solve_bvp(rhs, bc, r, y, p=[c0], tol=tol, max_nodes=MAX_NODES)
+    if sol.status != 0:
+        raise RuntimeError(f"collocation failed: {sol.message}")
     c_f = float(sol.p[0])
     ya = sol.y[:, 0]
     yb = sol.y[:, -1]
     bc_res = float(np.max(np.abs(bc(ya, yb, sol.p))))
     return CoreProfile(
-        n=n, c_f=c_f, r_start=r_start, r_max=r_max, sol=sol.sol,
+        n=n, c_f=c_f, r_start=R_START, r_max=r_max, sol=sol.sol,
         bc_residual=bc_res, rms_residual=float(np.max(sol.rms_residuals)),
         n_nodes=sol.x.size,
     )
-
-
-def solve_bvp_checked(rhs, bc, r, y, p, tol, max_nodes=200000):
-    sol = solve_bvp(rhs, bc, r, y, p=p, tol=tol, max_nodes=max_nodes)
-    if sol.status != 0:
-        raise RuntimeError(f"collocation failed: {sol.message}")
-    return sol
 
 
 def v_inner(profile, q, k, r):

@@ -79,8 +79,7 @@ class OuterParams:
         return 1.0 if self.q > 0.0 else -1.0
 
 
-def decay_slope(nu, R, allow_oscillatory=False, x_split=X_SPLIT_DEFAULT,
-                max_terms=MAX_TERMS_DEFAULT):
+def decay_slope(nu, R, allow_oscillatory=False):
     """(V0, V0') of the decaying branch at stretched radius R.
 
     The derivative comes from the independently summed second derivative
@@ -100,18 +99,14 @@ def decay_slope(nu, R, allow_oscillatory=False, x_split=X_SPLIT_DEFAULT,
             "is not single-signed there (pass allow_oscillatory=True to "
             "evaluate anyway)"
         )
-    if R < x_split:
-        K, K1, K2 = specfun.k_imag_triple(nu, R, x_split=x_split,
-                                          max_terms=max_terms)
+    if R < X_SPLIT_DEFAULT:
+        K, K1, K2 = specfun.k_imag_triple(nu, R)
         if K == 0.0:
             raise ZeroDivisionError(
                 f"K vanishes at R={R!r} (oscillatory regime)")
         V0 = K1 / K
         return V0, K2 / K - V0 * V0
-    S, Sp, Spp, _ = specfun._asym_sums(nu, R, max_terms=max_terms)
-    w = -1.0 - 1.0 / (2.0 * R) + Sp / S
-    wp = 1.0 / (2.0 * R * R) + Spp / S - (Sp / S) ** 2
-    return w, wp
+    return specfun.asym_log_slope(nu, R, MAX_TERMS_DEFAULT)[:2]
 
 
 def slope_cotangent(nu, R):
@@ -127,7 +122,7 @@ def slope_cotangent(nu, R):
     return (nu / R) / math.tan(nu * math.log(0.5 * R) - theta0)
 
 
-def amplitude_factor(params, R, x_split=X_SPLIT_DEFAULT):
+def amplitude_factor(params, R):
     """(F0, F0') of the far-field amplitude at stretched radius R.
 
     F0 = sqrt(1 - k^2 V0^2 - eps^2 n^2 / R^2); decays to sqrt(1 - k^2) as
@@ -135,7 +130,7 @@ def amplitude_factor(params, R, x_split=X_SPLIT_DEFAULT):
     the evaluation point is pushed into the core region where this
     description does not apply.
     """
-    V0, dV0 = decay_slope(params.nu, R, x_split=x_split)
+    V0, dV0 = decay_slope(params.nu, R)
     k2 = params.k * params.k
     cent = (params.eps * params.n / R) ** 2
     rad = 1.0 - k2 * V0 * V0 - cent

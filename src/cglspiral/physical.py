@@ -104,9 +104,10 @@ def reduced_from_physical(alpha, beta, k_star):
     q = twist_from(alpha, beta)
     Omega = -beta + k_star * k_star * (beta - alpha)
     one_minus = 1.0 - Omega * alpha
-    k2 = 1.0 - (1.0 - k_star * k_star) * (1.0 + alpha * beta) / one_minus
-    k2 = max(k2, 0.0)
-    return q, math.sqrt(k2), Omega
+    # k^2 = k_star^2 (1 + alpha^2)/(1 - Omega alpha) keeps full relative
+    # precision; 1 minus the amplitude ratio cancels at small k
+    k = abs(k_star) * math.sqrt((1.0 + alpha * alpha) / one_minus)
+    return q, k, Omega
 
 
 def dispersion_check(alpha, beta, Omega, k_star, amplitude=None):

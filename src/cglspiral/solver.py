@@ -6,7 +6,7 @@ variables are (f, g = f', w = r f^2 v): w obeys the exact first
 integral w' = -q r f^2 (1 - f^2 - k^2), which keeps the phase equation
 regular through the origin where dividing by f would not be.
 
-The two-point problem runs from a series start at r_start to an outer
+The two-point problem runs from a series start at core.R_START to an outer
 matching radius r_max chosen so that k|q| r_max is order one, where f
 and v are tied to the decaying far-field pair built from the imaginary
 order Bessel cone (see :mod:`cglspiral.outer`).  A damped-Newton
@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-R_START_DEFAULT = 1e-3
+# initial collocation mesh of the twisted solve
+N_MESH = 1400
+# largest matching radius a cold solve may ask for
+MAX_DOMAIN = 1e5
 # target for k|q|*r_max; the outer-dominant model error shrinks with R,
 # the domain (and node count) grows, and [0.5, 2] is the validated window
 R_MATCH_TARGET = 1.6
@@ -209,7 +212,7 @@ def _series_start(n, q, c, k2, r_start):
 
 
 def integrate_from_origin(params, c_f_guess, r_max, rtol=1e-10, atol=1e-13,
-                          n_out=2000, r_start=R_START_DEFAULT):
+                          n_out=2000, r_start=core.R_START):
     """March the profile outward from a series start at given (c_f, k).
 
     The phase gradient is advanced through its running integral
@@ -254,17 +257,18 @@ def integrate_from_origin(params, c_f_guess, r_max, rtol=1e-10, atol=1e-13,
                          escaped=escaped, escape_radius=r_esc)
 
 
-def _outer_pair(params, r):
-    """Far-field dominant (f, v) at radius r for the given parameters."""
-    sgn = 1.0 if params.q >= 0 else -1.0
-    R = params.eps * r
-    V0, _ = outer.decay_slope(params.nu, R)
-    k2 = params.k * params.k
-    rad = 1.0 - k2 * V0 * V0 - (params.eps * params.n / R) ** 2
-    if rad <= 0.0:
-        raise ValueError(
-            f"far-field amplitude undefined at R={R:.4g} (core region)")
-    return math.sqrt(rad), sgn * params.k * V0
+def _far_field(n, q, k, k2, r):
+    """Far-field dominants at radius r: (radicand of f^2, v).
+
+    f = sqrt(1 - k^2 V0^2 - (eps n/R)^2) and v = sgn(q) k V0(R), with
+    eps = k|q| and R = eps r.  k2 is passed apart from k so that the
+    Newton boundary condition can cap it.
+    """
+    sgn = 1.0 if q > 0 else -1.0
+    eps = k * abs(q)
+    R = eps * r
+    V0, _ = outer.decay_slope(n * abs(q), R)
+    return 1.0 - k2 * V0 * V0 - (eps * n / R) ** 2, sgn * k * V0
 
 
 def outer_mismatch(f_end, v_end, params, r_max):
@@ -280,13 +284,15 @@ def outer_mismatch(f_end, v_end, params, r_max):
         raise ValueError(
             f"matching radius R={R:.4g} outside validated window "
             f"[{floor:.4g}, 1e3] for nu={params.nu:.4g}")
-    f_o, v_o = _outer_pair(params, r_max)
-    return float(f_end - f_o), float(v_end - v_o)
+    rad, v_o = _far_field(params.n, params.q, params.k, params.k * params.k,
+                          r_max)
+    if rad <= 0.0:
+        raise ValueError(
+            f"far-field amplitude undefined at R={R:.4g} (core region)")
+    return float(f_end - math.sqrt(rad)), float(v_end - v_o)
 
 
-def _collocation_solve(n, q, k0, c0, r_max, tol, n_mesh, max_nodes,
-                       r_start, warm=None):
-    nu = n * abs(q)
+def _collocation_solve(n, q, k0, c0, r_max, tol):
     sgn = 1.0 if q > 0 else -1.0
 
     def fun(r, y, p):
@@ -303,14 +309,10 @@ def _collocation_solve(n, q, k0, c0, r_max, tol, n_mesh, max_nodes,
         c, logk = p
         k = np.exp(logk)
         k2 = min(k * k, 0.98)
-        fs, dfs, w0 = _series_start(n, q, c, k2, r_start)
-        eps = k * abs(q)
-        R = eps * r_max
+        fs, dfs, w0 = _series_start(n, q, c, k2, core.R_START)
         try:
-            V0, _ = outer.decay_slope(nu, R)
-            rad = 1.0 - k2 * V0 * V0 - (eps * n / R) ** 2
+            rad, v_o = _far_field(n, q, k, k2, r_max)
             f_o = math.sqrt(max(rad, 1e-12))
-            v_o = sgn * k * V0
         except Exception:
             f_o = math.sqrt(1.0 - k2)
             v_o = -sgn * k
@@ -318,21 +320,17 @@ def _collocation_solve(n, q, k0, c0, r_max, tol, n_mesh, max_nodes,
         return np.array([ya[0] - fs, ya[1] - dfs, ya[2] - w0,
                          yb[0] - f_o, v_end - v_o])
 
-    if warm is not None:
-        r = warm["r"]
-        y = warm["y"]
-    else:
-        r = np.geomspace(r_start, r_max, n_mesh)
-        prof0 = core.solve_profile(n)
-        f0 = prof0.f(r)
-        rb = k0 * (2 * n + 2) / (abs(q) * (1.0 - k0 * k0))
-        v0 = -sgn * k0 * r / np.sqrt(r * r + rb * rb)
-        y = np.vstack([f0, prof0.df(r), r * f0 * f0 * v0])
+    r = np.geomspace(core.R_START, r_max, N_MESH)
+    prof0 = core.solve_profile(n)
+    f0 = prof0.f(r)
+    rb = k0 * (2 * n + 2) / (abs(q) * (1.0 - k0 * k0))
+    v0 = -sgn * k0 * r / np.sqrt(r * r + rb * rb)
+    y = np.vstack([f0, prof0.df(r), r * f0 * f0 * v0])
     return solve_bvp(fun, bc, r, y, p=[c0, math.log(k0)], tol=tol,
-                     max_nodes=max_nodes, verbose=0), bc
+                     max_nodes=core.MAX_NODES, verbose=0)
 
 
-def _profile_from_collocation(n, q, sol, r_start):
+def _profile_from_collocation(n, q, sol):
     c = float(sol.p[0])
     k = float(np.exp(sol.p[1]))
     r = sol.x
@@ -347,7 +345,7 @@ def _profile_from_collocation(n, q, sol, r_start):
     fm = sol.sol(mid)[0]
     g_mid = mid * fm * fm * (1.0 - fm * fm - k2)
     seg = np.diff(r) / 6.0 * (g_node[:-1] + 4.0 * g_mid + g_node[1:])
-    head = c * c * (1.0 - k2) * r_start ** (2 * n + 2) / (2 * n + 2)
+    head = c * c * (1.0 - k2) * core.R_START ** (2 * n + 2) / (2 * n + 2)
     I = head + np.concatenate([[0.0], np.cumsum(seg)])
     return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f, df=g, v=v,
                          integral=I, w=w, interpolant=sol.sol)
@@ -373,15 +371,15 @@ def _check_properties(profile, report):
             name for name, ok in props.items() if name != "suspect" and not ok)
 
 
-def _q0_solve(n, tol):
+def _q0_solve(n):
     prof0 = core.solve_profile(n)
-    r = np.geomspace(R_START_DEFAULT, prof0.r_max, 4001)
+    r = np.geomspace(core.R_START, prof0.r_max, 4001)
     f = prof0.f(r)
     df = prof0.df(r)
     zero = np.zeros_like(r)
     integrand = r * f * f * (1.0 - f * f)
-    head = prof0.c_f ** 2 * r[0] ** (2 * n + 2) / (2 * n + 2)
-    I = cumulative_simpson(integrand, x=r, initial=0.0) + head
+    I = cumulative_simpson(integrand, x=r, initial=0.0) \
+        + core.series_moment(n, prof0.c_f, r[0])
     interp = lambda rr: np.vstack([prof0.f(rr), prof0.df(rr),
                                    np.zeros_like(np.asarray(rr, float))])
     profile = RadialProfile(n=n, q=0.0, k=0.0, c_f=prof0.c_f, r_grid=r, f=f,
@@ -395,19 +393,18 @@ def _q0_solve(n, tol):
     return profile, report
 
 
-def solve_spiral(n, q, init=None, tol=1e-10, r_max=None, n_mesh=1400,
-                 max_nodes=200000, max_domain=1e5, r_start=R_START_DEFAULT):
+def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     """Solve for the rotating profile and selected wavenumber at twist q.
 
     ``init`` optionally supplies (c_f, k) starting values; by default the
     untwisted core slope and the asymptotic wavenumber seed the solve.
     The matching radius (unless given) targets k|q| r_max ~ 1.6 and is
-    re-adapted once if the converged k lands outside the validated
-    window.  Twists requiring a domain beyond ``max_domain`` are refused
-    with the log-scale requirement spelled out rather than thrashing.
+    re-adapted if the converged k lands outside the validated window.
+    Twists whose matching radius exceeds the domain budget MAX_DOMAIN are
+    refused before any solve, with the radius they need spelled out.
     """
     if q == 0.0:
-        return _q0_solve(n, tol)
+        return _q0_solve(n)
     ka = wavenumber.kappa_asym(n, abs(q))
     if init is not None:
         c0, k0 = init
@@ -424,16 +421,14 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None, n_mesh=1400,
     chosen_r_max = r_max
     if chosen_r_max is None:
         chosen_r_max = R_MATCH_TARGET / (k0 * abs(q))
-        if chosen_r_max > max_domain:
+        if chosen_r_max > MAX_DOMAIN:
             raise ValueError(
                 f"twist q={q} needs a matching radius ~{chosen_r_max:.3g} "
                 f"(log k = {ka.log_value:.2f}), beyond the domain budget "
-                f"{max_domain:.3g}; raise max_domain to attempt it anyway")
+                f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
 
-    sol = None
     for attempt in range(3):
-        sol, bc_fn = _collocation_solve(n, q, k0, c0, chosen_r_max, tol,
-                                        n_mesh, max_nodes, r_start)
+        sol = _collocation_solve(n, q, k0, c0, chosen_r_max, tol)
         if sol.status != 0:
             raise RuntimeError(
                 f"collocation failed at n={n}, q={q} (r_max={chosen_r_max:.4g}): "
@@ -442,16 +437,18 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None, n_mesh=1400,
         R_actual = k * abs(q) * chosen_r_max
         if r_max is not None or R_MATCH_WINDOW[0] <= R_actual <= R_MATCH_WINDOW[1]:
             break
-        # re-adapt the domain around the solved k and warm-start
+        # re-adapt the domain around the solved k: a fresh mesh, seeded
+        # with the converged (c_f, k)
         chosen_r_max = R_MATCH_TARGET / (k * abs(q))
-        if chosen_r_max > max_domain:
+        if chosen_r_max > MAX_DOMAIN:
             raise ValueError(
                 f"twist q={q}: converged k={k:.4g} pushes the matching "
-                f"radius to {chosen_r_max:.3g}, beyond the domain budget")
+                f"radius to {chosen_r_max:.3g}, beyond the domain budget "
+                f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
         c0, k0 = float(sol.p[0]), k
 
     k = float(np.exp(sol.p[1]))
-    profile = _profile_from_collocation(n, q, sol, r_start)
+    profile = _profile_from_collocation(n, q, sol)
     params = SpiralParams(n=n, q=q, k=k)
     try:
         m_f, m_v = outer_mismatch(profile.f[-1], profile.v[-1], params,

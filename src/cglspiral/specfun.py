@@ -63,6 +63,9 @@ from .ddarith import (
 
 X_SPLIT_DEFAULT = 10.0
 MAX_TERMS_DEFAULT = 200
+# term cap of the divergent large-argument sums, which also stop at
+# their smallest term
+ASYM_TERMS = 60
 UNDERFLOW_WALL = 745.0  # exp(-746) is zero in float64
 _NU_ZERO_CUTOFF = 1e-10
 
@@ -255,27 +258,7 @@ def _series_triple(nu, x, max_terms=MAX_TERMS_DEFAULT):
     return _series_core(nu, x, max_terms)
 
 
-def k_imag_series(nu, x, max_terms=MAX_TERMS_DEFAULT):
-    """Ascending-series evaluation of (K_{i nu}(x), d/dx K_{i nu}(x)).
-
-    Parameters
-    ----------
-    nu : float
-        Order magnitude, 0 <= nu <= 1.
-    x : float
-        Positive argument; intended for x at or below the branch split.
-    max_terms : int
-        Series budget; exceeded budget raises :class:`SeriesDivergenceError`.
-
-    Returns
-    -------
-    (value, derivative) : pair of floats
-    """
-    K, K1, _, _, _ = _series_triple(nu, x, max_terms)
-    return K, K1
-
-
-def _asym_sums(nu, x, max_terms=60):
+def _asym_sums(nu, x, max_terms):
     """The three asymptotic sums, each truncated at its own smallest term.
 
     The expansion coefficients follow a_j = a_{j-1} (mu_hat - (2j-1)^2)/(8j)
@@ -319,30 +302,33 @@ def _asym_sums(nu, x, max_terms=60):
     return S, Sp, Spp, max(err0, err1 / max(abs(Sp), 1.0), err2)
 
 
+def asym_log_slope(nu, x, max_terms):
+    """Large-argument log-slope (K'/K, (K'/K)') of K_{i nu}, scale-free.
+
+    K = sqrt(pi/(2x)) e^{-x} S with S the asymptotic sum, so
+    K'/K = -1 - 1/(2x) + S'/S: the e^{-x} envelope cancels analytically
+    and the slope stays finite where K itself underflows float64.
+    Returns (w, w', S, err) with err the sums' first omitted term.
+    """
+    S, Sp, Spp, err = _asym_sums(nu, x, max_terms)
+    w = -1.0 - 1.0 / (2.0 * x) + Sp / S
+    wp = 1.0 / (2.0 * x * x) + Spp / S - (Sp / S) ** 2
+    return w, wp, S, err
+
+
 def _asym_triple(nu, x):
+    """Large-argument (K, K', K'', err); relative accuracy around 2e-10 at
+    x = 10 and machine precision beyond x ~ 17."""
     if x < 2.0:
         raise ValueError(
             f"large-argument branch called below its validity floor: x={x!r}"
         )
-    S, Sp, Spp, err = _asym_sums(nu, x)
+    w, wp, S, err = asym_log_slope(nu, x, ASYM_TERMS)
     pref = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
     K = pref * S
-    w = -1.0 - 1.0 / (2.0 * x) + Sp / S
     K1 = K * w
-    wp = 1.0 / (2.0 * x * x) + Spp / S - (Sp / S) ** 2
     K2 = K * (w * w + wp)
     return K, K1, K2, err
-
-
-def k_imag_asym(nu, x):
-    """Large-argument evaluation of (K_{i nu}(x), d/dx K_{i nu}(x)).
-
-    Leading behavior sqrt(pi/(2x)) e^{-x}; correction terms are summed to
-    their optimal truncation point, giving relative accuracy around 2e-10
-    at x = 10 and machine precision beyond x ~ 17.
-    """
-    K, K1, _, _ = _asym_triple(nu, x)
-    return K, K1
 
 
 def k_imag_quadrature(nu, x, epsrel=1e-13):
@@ -418,8 +404,7 @@ def k_imag(nu, x, x_split=X_SPLIT_DEFAULT, method=None,
     raise ValueError(f"unknown method {method!r}")
 
 
-def k_imag_triple(nu, x, x_split=X_SPLIT_DEFAULT,
-                  max_terms=MAX_TERMS_DEFAULT):
+def k_imag_triple(nu, x):
     """(K, K', K'') with the second derivative from the same branch's sums.
 
     The second derivative here is summed term by term, independently of the
@@ -428,14 +413,14 @@ def k_imag_triple(nu, x, x_split=X_SPLIT_DEFAULT,
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
-    if x < x_split:
-        K, K1, K2, _, _ = _series_triple(nu, x, max_terms)
+    if x < X_SPLIT_DEFAULT:
+        K, K1, K2, _, _ = _series_triple(nu, x)
     else:
         K, K1, K2, _ = _asym_triple(nu, x)
     return K, K1, K2
 
 
-def sign_margins(nu, x, x_split=X_SPLIT_DEFAULT, max_terms=MAX_TERMS_DEFAULT):
+def sign_margins(nu, x):
     """Scale-free margins of the sign pattern (K > 0, K' < 0, K'' > 0).
 
     Returns a triple of floats, each positive exactly when the corresponding
@@ -447,13 +432,11 @@ def sign_margins(nu, x, x_split=X_SPLIT_DEFAULT, max_terms=MAX_TERMS_DEFAULT):
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
-    if x < x_split:
-        K, K1, K2, _, _ = _series_triple(nu, x, max_terms)
+    if x < X_SPLIT_DEFAULT:
+        K, K1, K2, _, _ = _series_triple(nu, x)
         s = abs(K) + abs(K1) + abs(K2)
         return K / s, -K1 / s, K2 / s
-    S, Sp, Spp, _ = _asym_sums(nu, x)
-    w = -1.0 - 1.0 / (2.0 * x) + Sp / S
-    wp = 1.0 / (2.0 * x * x) + Spp / S - (Sp / S) ** 2
+    w, wp, S, _ = asym_log_slope(nu, x, ASYM_TERMS)
     return S, -w, w * w + wp
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, assume, settings, strategies as st
+from hypothesis import given, assume, example, settings, strategies as st
 
 from cglspiral import physical
 
@@ -157,6 +157,8 @@ class TestDispersionCheck:
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(-1.5, 1.5), q=st.floats(-0.9, 0.9),
        k=st.floats(0.0, 0.85))
+@example(alpha=0.0, q=0.0, k=4.77e-7)
+@example(alpha=0.5, q=0.5, k=1e-9)
 def test_roundtrip_property(alpha, q, k):
     assume(1.0 - alpha * q > 0.05)
     assume(1.0 - alpha * q * (1.0 - k * k) > 0.05)
@@ -164,3 +166,13 @@ def test_roundtrip_property(alpha, q, k):
     q2, k2, _ = physical.reduced_from_physical(alpha, t.beta, t.k_star)
     assert abs(q2 - q) <= 1e-11
     assert abs(k2 - k) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.0, 0.0), (-1.2, 0.3)])
+@pytest.mark.parametrize("k", [1.5e-6, 1e-8, 1e-9, 1e-12])
+def test_roundtrip_keeps_relative_precision_at_small_k(alpha, q, k):
+    # the selected wavenumbers are exponentially small in 1/q, so the map
+    # back must hold relative, not absolute, precision
+    t = physical.physical_from_reduced(alpha, q, k)
+    _, k_back, _ = physical.reduced_from_physical(alpha, t.beta, t.k_star)
+    assert abs(k_back - k) <= 1e-14 * k

@@ -130,8 +130,15 @@ def test_sweep_isolates_failures():
 
 
 def test_refuses_twist_beyond_domain_budget():
-    with pytest.raises(ValueError, match="budget"):
-        solver.solve_spiral(1, 0.12)
+    # the budget admits cold solves down to q ~ 0.142, 0.078 and 0.054 for
+    # n = 1, 2, 3; the refusal comes before any solve
+    assert solver.MAX_DOMAIN == 1e5
+    for n, q in ((1, 0.12), (2, 0.07), (3, 0.05)):
+        with pytest.raises(ValueError,
+                           match=r"needs a matching radius ~[0-9.e+]+ .*"
+                                 r"beyond the domain budget "
+                                 r"MAX_DOMAIN = 1e\+05"):
+            solver.solve_spiral(n, q)
 
 
 def test_init_validation():

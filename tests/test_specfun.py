@@ -47,7 +47,7 @@ def test_series_versus_quadrature_grid():
     # the two independent representations are mutual oracles
     for nu in (0.02, 0.05, 0.1, 0.3, 0.5):
         for x in np.geomspace(0.01, 9.5, 25):
-            K, _ = sf.k_imag_series(nu, float(x))
+            K = sf.k_imag(nu, float(x), method="series").value
             Kq = sf.k_imag_quadrature(nu, float(x))
             assert K == pytest.approx(Kq, rel=1e-9), (nu, x)
 
@@ -55,7 +55,7 @@ def test_series_versus_quadrature_grid():
 def test_asym_versus_quadrature_grid():
     for nu in (0.0, 0.1, 0.3, 0.5):
         for x in np.geomspace(10.0, 100.0, 15):
-            K, _ = sf.k_imag_asym(nu, float(x))
+            K = sf.k_imag(nu, float(x), method="asymptotic").value
             Kq = sf.k_imag_quadrature(nu, float(x))
             assert K == pytest.approx(Kq, rel=1e-6), (nu, x)
 
@@ -147,13 +147,13 @@ def test_tiny_nu_continuous_with_nu_zero():
 @given(st.floats(min_value=0.001, max_value=0.5),
        st.floats(min_value=0.05, max_value=9.9))
 def test_series_quadrature_property(nu, x):
-    K, _ = sf.k_imag_series(nu, x)
+    K = sf.k_imag(nu, x, method="series").value
     assert K == pytest.approx(sf.k_imag_quadrature(nu, x), rel=1e-9)
 
 
 def test_series_divergence_budget():
     with pytest.raises(sf.SeriesDivergenceError) as exc:
-        sf.k_imag_series(0.3, 40.0, max_terms=60)
+        sf.k_imag(0.3, 40.0, method="series", max_terms=60)
     assert exc.value.x == 40.0
     assert exc.value.nu == 0.3
 
@@ -166,7 +166,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         sf.k_imag_quadrature(0.1, -1.0)
     with pytest.raises(ValueError):
-        sf.k_imag_asym(0.1, 0.5)
+        sf.k_imag(0.1, 0.5, method="asymptotic")
     with pytest.raises(ValueError):
         sf.k_imag(0.1, 1.0, method="nope")
 
@@ -289,7 +289,7 @@ def test_integer_large_x_asym_form():
     K = sf.bessel_integer("K", 0, x)
     lead = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
     assert K.value == pytest.approx(lead, rel=1e-2)
-    full, _ = sf.k_imag_asym(0.0, x)
+    full = sf.k_imag(0.0, x, method="asymptotic").value
     assert K.value == pytest.approx(full, rel=1e-6)
 
 
