@@ -93,12 +93,6 @@ def _parse_grid_spec(spec):
     return np.geomspace(lo, hi, count)
 
 
-def _save_csv(path, header, columns):
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
-               comments="")
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_bessel_eval(args):
@@ -144,8 +138,8 @@ def _cmd_outer_eval(args):
     v = params.chirality * params.k * V0
     resid = dV0 - (1.0 - params.nu ** 2 / R ** 2 - V0 / R - V0 ** 2)
     out = args.out_dir / _resolve(args, "out", "outer_eval.csv")
-    _save_csv(out, "r,R,V0,F0,v_out,f_out,riccati_residual",
-              [r, R, V0, F0, v, F0, resid])
+    field.write_csv(out, "r,R,V0,F0,v_out,f_out,riccati_residual",
+                    [r, R, V0, F0, v, F0, resid])
     config = {"n": int(args.n), "q": args.q, "k": args.k,
               "r_grid": args.r_grid, "out": out.name}
     _write_manifest(args, "outer-eval", config, [out])
@@ -164,7 +158,7 @@ def _cmd_inner_solve(args):
     df = profile.df(r)
     integrand = r * f * f * (1.0 - f * f)
     out = args.out_dir / _resolve(args, "out", "inner_profile.csv")
-    _save_csv(out, "r,f0,df0,v0_integrand", [r, f, df, integrand])
+    field.write_csv(out, "r,f0,df0,v0_integrand", [r, f, df, integrand])
     config = {"n": n, "r_max": r_max, "tol": tol, "out": out.name}
     _write_manifest(args, "inner-solve", config, [out])
     _emit(args, {"c_f": profile.c_f, "C_n": tail.value,
@@ -233,9 +227,9 @@ def _cmd_solve(args):
     _write_text(report_path, _json_text(doc))
     csv_path = args.out_dir / (report_path.stem.replace("_report", "")
                                + "_profile.csv")
-    _save_csv(csv_path, "r,f,df,v,w,first_integral",
-              [profile.r_grid, profile.f, profile.df, profile.v, profile.w,
-               profile.integral])
+    field.write_csv(csv_path, "r,f,df,v,w,first_integral",
+                    [profile.r_grid, profile.f, profile.df, profile.v,
+                     profile.w, profile.integral])
     config = {"n": n, "q": args.q, "tol": tol,
               "r_max": args.r_max or "auto", "k_init": args.k_init or "auto",
               "out": report_path.name}
@@ -264,9 +258,9 @@ def _cmd_sweep(args):
         if rep.status != 0:
             failed.append((rep.q, rep.message))
     out = args.out_dir / _resolve(args, "out", "sweep_report.csv")
-    _save_csv(out, "q,k_numeric,log_k_numeric,k_asym,ratio,"
-                   "abs_ratio_minus_1_times_logq,iters,residual",
-              [np.array(col) for col in zip(*rows)])
+    field.write_csv(out, "q,k_numeric,log_k_numeric,k_asym,ratio,"
+                         "abs_ratio_minus_1_times_logq,iters,residual",
+                    [np.array(col) for col in zip(*rows)])
     config = {"n": n, "q_list": q_list, "tol": tol, "out": out.name}
     _write_manifest(args, "sweep", config, [out])
     _note(args, f"wrote {out}")

@@ -67,6 +67,17 @@ def series_moment(n, c, r):
     return c * c * r ** (2 * n + 2) / (2 * n + 2)
 
 
+def cumulative_midpoint_simpson(r, node, mid, head):
+    """Cumulative integral on the nodes r, head plus per-interval Simpson.
+
+    ``node`` holds the integrand at the nodes and ``mid`` at the interval
+    midpoints, so the cumulation is exact at the nodes, with no
+    resample-and-interpolate error; ``head`` is the integral below r[0].
+    """
+    seg = np.diff(r) / 6.0 * (node[:-1] + 4.0 * mid + node[1:])
+    return head + np.concatenate([[0.0], np.cumsum(seg)])
+
+
 def far_profile(n, r):
     """Algebraic far-field form of the profile and its slope."""
     r = np.asarray(r, dtype=float)

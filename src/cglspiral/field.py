@@ -22,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .core import cumulative_midpoint_simpson
+
 __all__ = [
     "PhaseTable", "FieldGrid", "ArmSpacing", "theta_of_r", "sample_field",
-    "export", "measure_arm_spacing", "expected_arm_spacing",
+    "export", "write_csv", "measure_arm_spacing", "expected_arm_spacing",
 ]
 
 
@@ -79,10 +81,9 @@ def theta_of_r(profile):
     mid = 0.5 * (r[:-1] + r[1:])
     fm, _, wm = profile.interpolant(mid)
     vm = wm / (mid * fm * fm + 1e-300)
-    seg = np.diff(r) / 6.0 * (v[:-1] + 4.0 * vm + v[1:])
     slope = -profile.q * (1.0 - profile.k ** 2) / (2 * profile.n + 2)
     head = 0.5 * slope * r[0] ** 2
-    theta = head + np.concatenate([[0.0], np.cumsum(seg)])
+    theta = cumulative_midpoint_simpson(r, v, vm, head)
     return PhaseTable(r=r.copy(), theta=theta, origin_slope=slope)
 
 
@@ -167,11 +168,9 @@ def export(grid, path, format="csv"):
         raise ValueError("refusing to export an empty grid")
     if format == "csv":
         X, Y = np.meshgrid(grid.x, grid.y)
-        cols = np.column_stack([
+        write_csv(path, "x,y,re,im,abs", [
             X.ravel(), Y.ravel(), grid.values.real.ravel(),
             grid.values.imag.ravel(), np.abs(grid.values).ravel()])
-        np.savetxt(path, cols, fmt="%.17g", delimiter=",",
-                   header="x,y,re,im,abs", comments="")
     elif format == "json":
         doc = {
             "nx": grid.nx, "ny": grid.ny, "extent": grid.extent, "t": grid.t,
@@ -185,6 +184,16 @@ def export(grid, path, format="csv"):
             fh.write("\n")
     else:
         raise ValueError(f"unknown export format {format!r}")
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns as CSV under a one-line header.
+
+    Every float is printed with 17 significant digits, so reading the
+    file back reproduces the doubles exactly.
+    """
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 @dataclass

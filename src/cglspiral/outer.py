@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .specfun import X_SPLIT_DEFAULT, MAX_TERMS_DEFAULT
 
 __all__ = [
     "OuterParams", "validity_floor", "sign_floor", "decay_slope",
-    "slope_cotangent", "amplitude_factor", "v_out", "f_out",
+    "far_field", "slope_cotangent", "amplitude_factor", "v_out", "f_out",
     "property_scan",
 ]
 
@@ -99,14 +98,20 @@ def decay_slope(nu, R, allow_oscillatory=False):
             "is not single-signed there (pass allow_oscillatory=True to "
             "evaluate anyway)"
         )
-    if R < X_SPLIT_DEFAULT:
-        K, K1, K2 = specfun.k_imag_triple(nu, R)
-        if K == 0.0:
-            raise ZeroDivisionError(
-                f"K vanishes at R={R!r} (oscillatory regime)")
-        V0 = K1 / K
-        return V0, K2 / K - V0 * V0
-    return specfun.asym_log_slope(nu, R, MAX_TERMS_DEFAULT)[:2]
+    return specfun.log_slope(nu, R)
+
+
+def far_field(n, q, k, k2, R):
+    """Far-field pair at stretched radius R: (V0, V0', f^2, v).
+
+    f^2 = 1 - k^2 V0^2 - (eps n/R)^2 and v = sgn(q) k V0(R), with
+    eps = k|q|.  k2 is passed apart from k so that the Newton boundary
+    condition can cap it.
+    """
+    sgn = 1.0 if q > 0 else -1.0
+    eps = k * abs(q)
+    V0, dV0 = decay_slope(n * abs(q), R)
+    return V0, dV0, 1.0 - k2 * V0 * V0 - (eps * n / R) ** 2, sgn * k * V0
 
 
 def slope_cotangent(nu, R):
@@ -130,17 +135,15 @@ def amplitude_factor(params, R):
     the evaluation point is pushed into the core region where this
     description does not apply.
     """
-    V0, dV0 = decay_slope(params.nu, R)
     k2 = params.k * params.k
-    cent = (params.eps * params.n / R) ** 2
-    rad = 1.0 - k2 * V0 * V0 - cent
+    V0, dV0, rad, _ = far_field(params.n, params.q, params.k, k2, R)
     if rad <= 0.0:
         raise ValueError(
             f"amplitude radicand {rad:.3e} is not positive at R={R!r}; "
             "the far-field form does not extend this far inward"
         )
     F0 = math.sqrt(rad)
-    dF0 = (-k2 * V0 * dV0 + cent / R) / F0
+    dF0 = (-k2 * V0 * dV0 + (params.eps * params.n / R) ** 2 / R) / F0
     return F0, dF0
 
 
@@ -156,15 +159,14 @@ def _stretched_radius(params, r, log_r):
     return math.exp(math.log(params.eps) + log_r)
 
 
-def v_out(params, r=None, log_r=None, allow_oscillatory=False):
+def v_out(params, r=None, log_r=None):
     """Far-field phase gradient at physical radius r (or its log).
 
     Negative-twist branches are the mirror images of positive ones: the
     gradient flips sign with the chirality.
     """
     R = _stretched_radius(params, r, log_r)
-    V0, _ = decay_slope(params.nu, R, allow_oscillatory=allow_oscillatory)
-    return params.chirality * params.k * V0
+    return far_field(params.n, params.q, params.k, params.k * params.k, R)[3]
 
 
 def f_out(params, r=None, log_r=None):

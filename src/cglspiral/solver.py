@@ -211,8 +211,7 @@ def _series_start(n, q, c, k2, r_start):
     return fs, dfs, w0
 
 
-def integrate_from_origin(params, c_f_guess, r_max, rtol=1e-10, atol=1e-13,
-                          n_out=2000, r_start=core.R_START):
+def integrate_from_origin(params, c_f_guess, r_max):
     """March the profile outward from a series start at given (c_f, k).
 
     The phase gradient is advanced through its running integral
@@ -239,11 +238,12 @@ def integrate_from_origin(params, c_f_guess, r_max, rtol=1e-10, atol=1e-13,
     escape.terminal = True
     escape.direction = -1
 
+    r_start = core.R_START
     fs, dfs, w0 = _series_start(n, q, c_f_guess, k2, r_start)
     I0 = c_f_guess ** 2 * (1.0 - k2) * r_start ** (2 * n + 2) / (2 * n + 2)
-    grid = np.geomspace(r_start, r_max, n_out)
+    grid = np.geomspace(r_start, r_max, 2000)
     sol = solve_ivp(rhs, (r_start, r_max), [fs, dfs, I0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=escape,
+                    rtol=1e-10, atol=1e-13, dense_output=True, events=escape,
                     t_eval=grid)
     if not sol.success and sol.status != 1:
         raise RuntimeError(f"outward march failed: {sol.message}")
@@ -255,20 +255,6 @@ def integrate_from_origin(params, c_f_guess, r_max, rtol=1e-10, atol=1e-13,
     return RadialProfile(n=n, q=q, k=k, c_f=c_f_guess, r_grid=r, f=f, df=g,
                          v=v, integral=I, w=-q * I, interpolant=sol.sol,
                          escaped=escaped, escape_radius=r_esc)
-
-
-def _far_field(n, q, k, k2, r):
-    """Far-field dominants at radius r: (radicand of f^2, v).
-
-    f = sqrt(1 - k^2 V0^2 - (eps n/R)^2) and v = sgn(q) k V0(R), with
-    eps = k|q| and R = eps r.  k2 is passed apart from k so that the
-    Newton boundary condition can cap it.
-    """
-    sgn = 1.0 if q > 0 else -1.0
-    eps = k * abs(q)
-    R = eps * r
-    V0, _ = outer.decay_slope(n * abs(q), R)
-    return 1.0 - k2 * V0 * V0 - (eps * n / R) ** 2, sgn * k * V0
 
 
 def outer_mismatch(f_end, v_end, params, r_max):
@@ -284,8 +270,8 @@ def outer_mismatch(f_end, v_end, params, r_max):
         raise ValueError(
             f"matching radius R={R:.4g} outside validated window "
             f"[{floor:.4g}, 1e3] for nu={params.nu:.4g}")
-    rad, v_o = _far_field(params.n, params.q, params.k, params.k * params.k,
-                          r_max)
+    _, _, rad, v_o = outer.far_field(params.n, params.q, params.k,
+                                     params.k * params.k, R)
     if rad <= 0.0:
         raise ValueError(
             f"far-field amplitude undefined at R={R:.4g} (core region)")
@@ -311,7 +297,7 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
         k2 = min(k * k, 0.98)
         fs, dfs, w0 = _series_start(n, q, c, k2, core.R_START)
         try:
-            rad, v_o = _far_field(n, q, k, k2, r_max)
+            _, _, rad, v_o = outer.far_field(n, q, k, k2, k * abs(q) * r_max)
             f_o = math.sqrt(max(rad, 1e-12))
         except Exception:
             f_o = math.sqrt(1.0 - k2)
@@ -336,17 +322,15 @@ def _profile_from_collocation(n, q, sol):
     r = sol.x
     f, g, w = sol.y
     v = w / (r * f * f)
-    # independent quadrature of the first-integral right-hand side:
-    # per-interval Simpson with interpolant midpoints, cumulated exactly
-    # at the solver nodes (no resample-and-interpolate error)
+    # independent quadrature of the first-integral right-hand side, with
+    # midpoints from the interpolant
     k2 = k * k
     g_node = r * f * f * (1.0 - f * f - k2)
     mid = 0.5 * (r[:-1] + r[1:])
     fm = sol.sol(mid)[0]
     g_mid = mid * fm * fm * (1.0 - fm * fm - k2)
-    seg = np.diff(r) / 6.0 * (g_node[:-1] + 4.0 * g_mid + g_node[1:])
     head = c * c * (1.0 - k2) * core.R_START ** (2 * n + 2) / (2 * n + 2)
-    I = head + np.concatenate([[0.0], np.cumsum(seg)])
+    I = core.cumulative_midpoint_simpson(r, g_node, g_mid, head)
     return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f, df=g, v=v,
                          integral=I, w=w, interpolant=sol.sol)
 
@@ -465,7 +449,7 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     return profile, report
 
 
-def wavenumber_sweep(n, q_list, tol=1e-10, **kwargs):
+def wavenumber_sweep(n, q_list, tol=1e-10):
     """Descending-twist sweep with asymptotically warm-started seeds.
 
     Each solve seeds the next through the asymptotic transfer
@@ -487,7 +471,7 @@ def wavenumber_sweep(n, q_list, tol=1e-10, **kwargs):
                     + wavenumber.kappa_asym(n, abs(q)).log_value \
                     - wavenumber.kappa_asym(n, abs(q_prev)).log_value
                 init = (c_prev, math.exp(lk))
-            profile, report = solve_spiral(n, q, init=init, tol=tol, **kwargs)
+            profile, report = solve_spiral(n, q, init=init, tol=tol)
             k_prev, c_prev, q_prev = report.k_numeric, report.c_f, q
         except (ValueError, RuntimeError) as exc:
             report = WavenumberReport(

@@ -18,7 +18,8 @@ representations are implemented and cross-checked:
 * the integral representation int_0^inf exp(-x cosh t) cos(nu t) dt, kept as
   a cross-validation oracle rather than a hot path.
 
-Near the series/asymptotic handover the series suffers cancellation of order
+The series runs below the fixed handover X_SPLIT = 10 and the expansion
+from it on.  Near the handover the series suffers cancellation of order
 e^{2x} (about 5e8 at x = 10), far beyond what compensated float64 summation
 can absorb, so the series core runs in double-double arithmetic
 (:mod:`.ddarith`).  The oscillating factors sin/cos(A_k)/P_k are advanced by
@@ -61,13 +62,18 @@ from .ddarith import (
     to_float,
 )
 
-X_SPLIT_DEFAULT = 10.0
-MAX_TERMS_DEFAULT = 200
+# handover from the ascending series (x < X_SPLIT) to the large-argument
+# expansion; both agree to 1e-9 relative there for nu <= 0.5
+X_SPLIT = 10.0
+# term cap of the ascending series
+SERIES_TERMS = 200
 # term cap of the divergent large-argument sums, which also stop at
 # their smallest term
 ASYM_TERMS = 60
 UNDERFLOW_WALL = 745.0  # exp(-746) is zero in float64
-_NU_ZERO_CUTOFF = 1e-10
+# K_{i nu} is even in nu, so evaluating orders below this floor at the
+# floor moves K by O((nu log x)^2), below 1e-35 relative for x > 1e-150
+_NU_FLOOR = 1e-20
 
 EULER_GAMMA_F = 0.57721566490153286061
 
@@ -160,12 +166,18 @@ def _theta0_dd(nu):
     return acc
 
 
-def _series_core(nu, x, max_terms):
+def _series_core(nu, x):
     """dd summation of the series and its two term-wise derivatives.
 
     Returns (K, K', K'', n_terms, cond) as floats, where cond is the
     cancellation condition estimate sum|t_k| / |sum t_k| of the value sum.
+    Raises ValueError where float64 cannot hold the result: x*x
+    underflows below x ~ 1.5e-162, and K'' ~ 1/x^2 overflows (or its dd
+    split does) below x ~ 1e-150.
     """
+    x2 = x * x
+    if x2 == 0.0:
+        raise _float64_limit(nu, x)
     L = dd_log(x / 2.0)
     A0 = dd_sub(dd_mul_d(L, nu), _theta0_dd(nu))
     u, v = dd_sincos(A0)  # u_k = sin(A_k)/P_k, v_k = cos(A_k)/P_k
@@ -177,8 +189,8 @@ def _series_core(nu, x, max_terms):
     S2 = dd(0.0)
     abs_sum = 0.0
     converged = False
-    n_terms = max_terms
-    for k in range(max_terms):
+    n_terms = SERIES_TERMS
+    for k in range(SERIES_TERMS):
         fk = float(k)
         t = dd_mul(w, u)
         S = dd_add(S, t)
@@ -200,65 +212,33 @@ def _series_core(nu, x, max_terms):
             n_terms = k + 1
             break
     if not converged:
-        raise SeriesDivergenceError(nu, x, max_terms)
+        raise SeriesDivergenceError(nu, x, SERIES_TERMS)
     nupi = dd_mul_d(PI, nu)
     pref = dd_neg(dd_div_d(dd_sqrt(dd_div(nupi, dd_sinh(nupi))), nu))
-    K = dd_mul(pref, S)
-    K1 = dd_div_d(dd_mul(pref, S1), x)
-    K2 = dd_div_d(dd_mul(pref, S2), x * x)
+    K = to_float(dd_mul(pref, S))
+    K1 = to_float(dd_div_d(dd_mul(pref, S1), x))
+    K2 = to_float(dd_div_d(dd_mul(pref, S2), x2))
+    if not (math.isfinite(K) and math.isfinite(K1) and math.isfinite(K2)):
+        raise _float64_limit(nu, x)
     cond = abs_sum / abs(S[0]) if S[0] != 0.0 else math.inf
-    return to_float(K), to_float(K1), to_float(K2), n_terms, cond
-
-
-def _series_core_nu0(x, max_terms):
-    """Order-zero limit: K_0 = sum (x^2/4)^k / (k!)^2 (psi(k+1) - log(x/2))."""
-    L = dd_log(x / 2.0)
-    psi = dd_neg(EULER_GAMMA)  # psi(1)
-    x2_4 = dd_mul_d(dd_mul_d(dd(x), x), 0.25)
-    w = dd(1.0)  # (x^2/4)^k / (k!)^2
-    S = dd(0.0)
-    S1 = dd(0.0)
-    S2 = dd(0.0)
-    abs_sum = 0.0
-    converged = False
-    n_terms = max_terms
-    for k in range(max_terms):
-        fk = float(k)
-        g = dd_sub(psi, L)
-        t = dd_mul(w, g)
-        S = dd_add(S, t)
-        abs_sum += abs(t[0])
-        S1 = dd_add(S1, dd_mul(w, dd_add(dd_mul_d(g, 2.0 * fk), dd(-1.0))))
-        S2 = dd_add(S2, dd_mul(w, dd_add(dd_mul_d(g, 4.0 * fk * fk - 2.0 * fk),
-                                         dd(1.0 - 4.0 * fk))))
-        kk = fk + 1.0
-        psi = dd_add(psi, dd_div_d(dd(1.0), kk))
-        w = dd_div_d(dd_div_d(dd_mul(w, x2_4), kk), kk)
-        tail = abs(w[0]) * (abs(g[0]) + 1.0) * (4.0 * kk * kk + 2.0)
-        if tail < 1e-35 * abs(S[0]) + 1e-320:
-            converged = True
-            n_terms = k + 1
-            break
-    if not converged:
-        raise SeriesDivergenceError(0.0, x, max_terms)
-    K = to_float(S)
-    K1 = to_float(S1) / x
-    K2 = to_float(S2) / (x * x)
-    cond = abs_sum / abs(K) if K != 0.0 else math.inf
     return K, K1, K2, n_terms, cond
 
 
-def _series_triple(nu, x, max_terms=MAX_TERMS_DEFAULT):
+def _float64_limit(nu, x):
+    return ValueError(
+        f"K_{{i nu}} at nu={nu!r}, x={x!r} is beyond float64 range: below "
+        "x ~ 1e-150 the series' x*x underflows or K'' ~ 1/x^2 overflows")
+
+
+def _series_triple(nu, x):
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
     if nu < 0.0:
         raise ValueError(f"order magnitude must be nonnegative, got nu={nu!r}")
-    if nu < _NU_ZERO_CUTOFF:
-        return _series_core_nu0(x, max_terms)
-    return _series_core(nu, x, max_terms)
+    return _series_core(max(nu, _NU_FLOOR), x)
 
 
-def _asym_sums(nu, x, max_terms):
+def _asym_sums(nu, x):
     """The three asymptotic sums, each truncated at its own smallest term.
 
     The expansion coefficients follow a_j = a_{j-1} (mu_hat - (2j-1)^2)/(8j)
@@ -271,7 +251,7 @@ def _asym_sums(nu, x, max_terms):
     prev0 = prev1 = prev2 = math.inf
     stop0 = stop1 = stop2 = False
     err0 = err1 = err2 = 0.0
-    for j in range(1, max_terms):
+    for j in range(1, ASYM_TERMS):
         a *= (muhat - (2 * j - 1) ** 2) / (8.0 * j)
         t0 = a * x ** (-j)
         t1 = -j * a * x ** (-j - 1)
@@ -302,7 +282,7 @@ def _asym_sums(nu, x, max_terms):
     return S, Sp, Spp, max(err0, err1 / max(abs(Sp), 1.0), err2)
 
 
-def asym_log_slope(nu, x, max_terms):
+def asym_log_slope(nu, x):
     """Large-argument log-slope (K'/K, (K'/K)') of K_{i nu}, scale-free.
 
     K = sqrt(pi/(2x)) e^{-x} S with S the asymptotic sum, so
@@ -310,7 +290,7 @@ def asym_log_slope(nu, x, max_terms):
     and the slope stays finite where K itself underflows float64.
     Returns (w, w', S, err) with err the sums' first omitted term.
     """
-    S, Sp, Spp, err = _asym_sums(nu, x, max_terms)
+    S, Sp, Spp, err = _asym_sums(nu, x)
     w = -1.0 - 1.0 / (2.0 * x) + Sp / S
     wp = 1.0 / (2.0 * x * x) + Spp / S - (Sp / S) ** 2
     return w, wp, S, err
@@ -323,7 +303,7 @@ def _asym_triple(nu, x):
         raise ValueError(
             f"large-argument branch called below its validity floor: x={x!r}"
         )
-    w, wp, S, err = asym_log_slope(nu, x, ASYM_TERMS)
+    w, wp, S, err = asym_log_slope(nu, x)
     pref = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
     K = pref * S
     K1 = K * w
@@ -331,52 +311,48 @@ def _asym_triple(nu, x):
     return K, K1, K2, err
 
 
-def k_imag_quadrature(nu, x, epsrel=1e-13):
+def _cosh_quad(x, integrand):
+    """int_0^T of the integrand, with x cosh T at the float64 underflow
+    wall so the discarded tail is below e^{-745}; Gauss-Kronrod."""
+    T = math.acosh(UNDERFLOW_WALL / x) if x < UNDERFLOW_WALL else 1e-8
+    return quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200)
+
+
+def k_imag_quadrature(nu, x):
     """K_{i nu}(x) from the integral int_0^T exp(-x cosh t) cos(nu t) dt.
 
-    T is chosen so that x cosh T reaches the float64 underflow wall; the
-    discarded tail is below e^{-745}.  Adaptive Gauss-Kronrod; raises
-    :class:`QuadratureError` when the reported error estimate is worse than
-    1e-9 relative.
+    Raises :class:`QuadratureError` when the reported error estimate is
+    worse than 1e-9 relative.
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
-    T = math.acosh(UNDERFLOW_WALL / x) if x < UNDERFLOW_WALL else 1e-8
-    val, abserr = quad(
-        lambda t: math.exp(-x * math.cosh(t)) * math.cos(nu * t),
-        0.0, T, epsabs=0.0, epsrel=epsrel, limit=200,
-    )
+    val, abserr = _cosh_quad(
+        x, lambda t: math.exp(-x * math.cosh(t)) * math.cos(nu * t))
     scale = max(abs(val), 5e-324)
     if abserr / scale > 1e-9:
         raise QuadratureError(nu, x, abserr / scale)
     return val
 
 
-def _quadrature_derivative(nu, x, epsrel=1e-13):
+def _quadrature_derivative(nu, x):
     # companion to k_imag_quadrature for the CLI's quad method
-    T = math.acosh(UNDERFLOW_WALL / x) if x < UNDERFLOW_WALL else 1e-8
-    val, _ = quad(
-        lambda t: -math.exp(-x * math.cosh(t)) * math.cosh(t) * math.cos(nu * t),
-        0.0, T, epsabs=0.0, epsrel=epsrel, limit=200,
-    )
-    return val
+    return _cosh_quad(
+        x, lambda t: -math.exp(-x * math.cosh(t)) * math.cosh(t)
+        * math.cos(nu * t))[0]
 
 
-def k_imag(nu, x, x_split=X_SPLIT_DEFAULT, method=None,
-           max_terms=MAX_TERMS_DEFAULT):
+def k_imag(nu, x, method=None):
     """Evaluate K_{i nu}(x), dispatching on argument size.
 
     Parameters
     ----------
     nu, x : float
         Order magnitude and positive argument.
-    x_split : float
-        Handover point between the ascending series (x < x_split) and the
-        large-argument expansion (x >= x_split).  The default was calibrated
-        against the quadrature oracle; both branches agree to better than
-        1e-9 relative at the default split for nu <= 0.5.
     method : str or None
-        Force a branch: "series", "asymptotic" or "quadrature".
+        Force a branch: "series", "asymptotic" or "quadrature".  By default
+        the ascending series runs below :data:`X_SPLIT` and the
+        large-argument expansion from it on; the split was calibrated
+        against the quadrature oracle.
 
     Returns
     -------
@@ -385,9 +361,9 @@ def k_imag(nu, x, x_split=X_SPLIT_DEFAULT, method=None,
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
     if method is None:
-        method = "series" if x < x_split else "asymptotic"
+        method = "series" if x < X_SPLIT else "asymptotic"
     if method == "series":
-        K, K1, _, n_terms, cond = _series_triple(nu, x, max_terms)
+        K, K1, _, n_terms, cond = _series_triple(nu, x)
         err = max(cond * 1.3e-31, 2.3e-16)
         return ImagOrderEval(x=x, nu=nu, value=K, derivative=K1,
                              method="series", err_estimate=err)
@@ -413,11 +389,29 @@ def k_imag_triple(nu, x):
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
-    if x < X_SPLIT_DEFAULT:
+    if x < X_SPLIT:
         K, K1, K2, _, _ = _series_triple(nu, x)
     else:
         K, K1, K2, _ = _asym_triple(nu, x)
     return K, K1, K2
+
+
+def log_slope(nu, x):
+    """(K'/K, (K'/K)') of K_{i nu} at x.
+
+    Below the split the ratios come from the triple, with the second
+    derivative summed independently of the differential equation; from
+    the split on they come scale-free from the asymptotic sums, so they
+    stay finite where K itself underflows float64.
+    """
+    if x < X_SPLIT:
+        K, K1, K2 = k_imag_triple(nu, x)
+        if K == 0.0:
+            raise ZeroDivisionError(
+                f"K vanishes at x={x!r} (oscillatory regime)")
+        w = K1 / K
+        return w, K2 / K - w * w
+    return asym_log_slope(nu, x)[:2]
 
 
 def sign_margins(nu, x):
@@ -432,11 +426,11 @@ def sign_margins(nu, x):
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
-    if x < X_SPLIT_DEFAULT:
+    if x < X_SPLIT:
         K, K1, K2, _, _ = _series_triple(nu, x)
         s = abs(K) + abs(K1) + abs(K2)
         return K / s, -K1 / s, K2 / s
-    w, wp, S, _ = asym_log_slope(nu, x, ASYM_TERMS)
+    w, wp, S, _ = asym_log_slope(nu, x)
     return S, -w, w * w + wp
 
 

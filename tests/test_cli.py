@@ -76,6 +76,12 @@ class TestBesselEval:
         doc_s = json.loads(out)
         assert doc_q["value"] == pytest.approx(doc_s["value"], rel=1e-9)
 
+    def test_tiny_argument_is_domain_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "bessel-eval", "--kind", "Kinu", "--nu",
+                           "0.1", "--x", "1e-200", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "float64" in err
+
     def test_integer_kind(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "bessel-eval", "--kind", "Kn", "--n", "1",
                          "--x", "2.5", "--out-dir", str(tmp_path))

@@ -60,6 +60,17 @@ def test_cotangent_form_small_argument():
     assert rel(1e-3) / rel(1e-2) < 0.02
 
 
+def test_tiny_radius_names_float64_limit():
+    # nu = 0.003 has its validity floor at 8e-228, far below where float64
+    # holds K'' ~ 1/R^2; the slope is exact down to R = 1e-150
+    nu = 0.003
+    with pytest.raises(ValueError, match="float64"):
+        outer.decay_slope(nu, 1e-155)
+    V, dV = outer.decay_slope(nu, 1e-150)
+    assert math.isfinite(dV)
+    assert V == pytest.approx(outer.slope_cotangent(nu, 1e-150), rel=1e-15)
+
+
 def test_zero_order_limit_matches_integer_ratio():
     for R in (0.5, 3.0, 9.0, 20.0):
         V, _ = outer.decay_slope(0.0, R)

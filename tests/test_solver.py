@@ -269,3 +269,33 @@ def test_spiral_params_validation():
     assert solver.SpiralParams(1, 0.0, 0.0).mu == 0.0
     q = solver.SpiralParams(1, 0.5, 0.0936689780)
     assert q.mu == pytest.approx(0.0936689780 * 0.5 * math.exp(math.pi), rel=1e-12)
+
+
+# Standing faults, pinned until the fixes of ROADMAP items 1 and 2 flip them.
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: n = 3 solves always fail: solve_spiral(3, q) raises 'collocation "
+    "failed ... singular Jacobian' at the default series cut R_START = 1e-3"))
+def test_three_arm_solve_converges():
+    _, report = solver.solve_spiral(3, 0.5)
+    assert report.status == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: cold n = 2 solves blow up the collocation mesh on one sign of q: "
+    "13,272 nodes at q = +0.5 against 3,331 at -0.5"))
+def test_mirror_twists_share_the_mesh():
+    plus, _ = solver.solve_spiral(2, 0.5)
+    minus, _ = solver.solve_spiral(2, -0.5)
+    assert plus.r_grid.size == minus.r_grid.size
+    assert np.array_equal(plus.r_grid, minus.r_grid)
+    assert np.array_equal(plus.v, -minus.v)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the n = 1 solve misses its own first-integral tolerance at small "
+    "twist: the gap is 4.9e-9 for a cold solve_spiral(1, 0.15)"))
+def test_first_integral_holds_at_small_twist():
+    for q in (0.15, -0.15):
+        profile, _ = solver.solve_spiral(1, q)
+        assert profile.first_integral_gap() <= 1e-9, q

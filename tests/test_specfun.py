@@ -63,7 +63,7 @@ def test_asym_versus_quadrature_grid():
 def test_continuity_at_split():
     # both branches agree at the handover within 1e-9 relative, value and
     # derivative, across the guaranteed order window
-    xs = sf.X_SPLIT_DEFAULT
+    xs = sf.X_SPLIT
     eps = np.finfo(float).eps * xs
     for nu in (0.0, 0.02, 0.1, 0.3, 0.5):
         lo = sf.k_imag(nu, xs - eps)
@@ -136,7 +136,7 @@ def test_nu_zero_matches_integer_order():
 
 
 def test_tiny_nu_continuous_with_nu_zero():
-    # the nu -> 0 path switches representation; both sides must agree
+    # orders below the floor run at the floor; both sides must agree
     for x in (0.1, 2.0, 9.0):
         a = sf.k_imag(0.0, x).value
         b = sf.k_imag(5e-9, x).value
@@ -152,9 +152,10 @@ def test_series_quadrature_property(nu, x):
 
 
 def test_series_divergence_budget():
+    # the series diverges from x ~ 110 within its 200-term cap
     with pytest.raises(sf.SeriesDivergenceError) as exc:
-        sf.k_imag(0.3, 40.0, method="series", max_terms=60)
-    assert exc.value.x == 40.0
+        sf.k_imag(0.3, 150.0, method="series")
+    assert exc.value.x == 150.0
     assert exc.value.nu == 0.3
 
 
@@ -181,11 +182,22 @@ def test_method_forcing_and_recording():
                                               rel=1e-9)
 
 
-def test_configurable_split():
-    ev = sf.k_imag(0.1, 11.0, x_split=12.0)
+def test_forced_branches_agree_past_split():
+    ev = sf.k_imag(0.1, 11.0, method="series")
     assert ev.method == "series"
-    ev2 = sf.k_imag(0.1, 11.0, x_split=12.0, method="asymptotic")
+    ev2 = sf.k_imag(0.1, 11.0, method="asymptotic")
     assert ev.value == pytest.approx(ev2.value, rel=1e-9)
+
+
+def test_tiny_argument_names_float64_limit():
+    # x*x underflows below x ~ 1.5e-162; below x ~ 1e-150 K'' overflows
+    for nu, x in ((0.1, 1e-200), (0.003, 1e-155)):
+        with pytest.raises(ValueError, match="float64"):
+            sf.k_imag(nu, x)
+        with pytest.raises(ValueError, match="float64"):
+            sf.k_imag_triple(nu, x)
+        with pytest.raises(ValueError, match="float64"):
+            sf.sign_margins(nu, x)
 
 
 # ---------------- arg Gamma ----------------
