@@ -129,13 +129,15 @@ def _cmd_outer_eval(args):
     params = outer.OuterParams(n=int(args.n), q=args.q, k=args.k)
     r = _parse_grid_spec(args.r_grid)
     R = params.eps * r
-    V0 = np.empty_like(R)
-    dV0 = np.empty_like(R)
-    F0 = np.empty_like(R)
-    for i, Ri in enumerate(R):
-        V0[i], dV0[i] = outer.decay_slope(params.nu, float(Ri))
-        F0[i], _ = outer.amplitude_factor(params, float(Ri))
-    v = params.chirality * params.k * V0
+    V0, dV0, F0, v = (np.empty_like(R) for _ in range(4))
+    for i, Ri in enumerate(R.tolist()):
+        V0[i], dV0[i], rad, v[i] = outer.far_field(
+            params.n, params.q, params.k, params.k * params.k, Ri)
+        if rad <= 0.0:
+            raise CliError(f"amplitude radicand {rad:.3e} is not positive at "
+                           f"R={Ri!r}; the far-field form does not extend "
+                           "this far inward")
+        F0[i] = math.sqrt(rad)
     resid = dV0 - (1.0 - params.nu ** 2 / R ** 2 - V0 / R - V0 ** 2)
     out = args.out_dir / _resolve(args, "out", "outer_eval.csv")
     field.write_csv(out, "r,R,V0,F0,v_out,f_out,riccati_residual",

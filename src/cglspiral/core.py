@@ -33,8 +33,8 @@ from scipy.interpolate import CubicSpline
 
 __all__ = [
     "CoreProfile", "TailConstant", "core_series", "series_moment",
-    "far_profile", "solve_profile", "v_inner", "tail_constant",
-    "property_scan",
+    "origin_slope", "piecewise", "far_profile", "solve_profile", "v_inner",
+    "tail_constant", "property_scan",
 ]
 
 # series cut: every collocation solve enters the origin through
@@ -62,9 +62,31 @@ def core_series(n, c, r):
     return f, df
 
 
-def series_moment(n, c, r):
-    """Leading moment c^2 r^(2n+2)/(2n+2) of xi f^2 below the series cut."""
-    return c * c * r ** (2 * n + 2) / (2 * n + 2)
+def series_moment(n, c, k2, r):
+    """Head c^2 (1 - k^2) r^(2n+2)/(2n+2) of the moments below the cut."""
+    return c * c * (1.0 - k2) * r ** (2 * n + 2) / (2 * n + 2)
+
+
+def origin_slope(n, q, k):
+    """The origin law v ~ origin_slope * r of the phase gradient."""
+    return -q * (1.0 - k ** 2) / (2 * n + 2)
+
+
+def piecewise(r, r_lo, r_hi, below, inside, beyond):
+    """Radial function in three pieces: r < r_lo, [r_lo, r_hi], r > r_hi.
+
+    Each piece is called on the radii it covers, if any, so a piece with
+    an empty range (r_lo = -inf, r_hi = inf) may be None.  A scalar r
+    gives a float, an array an array of its shape.
+    """
+    scalar = np.isscalar(r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    lo, hi = r < r_lo, r > r_hi
+    for mask, piece in ((lo, below), (~(lo | hi), inside), (hi, beyond)):
+        if mask.any():
+            out[mask] = piece(r[mask])
+    return float(out[0]) if scalar else out
 
 
 def cumulative_midpoint_simpson(r, node, mid, head):
@@ -92,7 +114,7 @@ def far_profile(n, r):
 class CoreProfile:
     """Solved core profile with its cumulative moments.
 
-    Evaluation is piecewise: the power series below the collocation cut,
+    f and f' are piecewise: the power series below the collocation cut,
     the collocation spline on [r_start, r_max], the algebraic tail beyond.
     """
 
@@ -114,64 +136,29 @@ class CoreProfile:
         grid = np.geomspace(self.r_start, self.r_max, 30001)
         f = self.sol(grid)[0]
         vals = cumulative_simpson(grid * f * f, x=grid, initial=0.0)
-        vals += series_moment(self.n, self.c_f, self.r_start)
+        vals += series_moment(self.n, self.c_f, 0.0, self.r_start)
         return CubicSpline(grid, vals)
 
-    def _split(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        lo = r < self.r_start
-        hi = r > self.r_max
-        mid = ~(lo | hi)
-        return r, lo, mid, hi
+    def _piece(self, r, i):
+        return piecewise(r, self.r_start, self.r_max,
+                         lambda x: core_series(self.n, self.c_f, x)[i],
+                         lambda x: self.sol(x)[i],
+                         lambda x: far_profile(self.n, x)[i])
 
     def f(self, r):
-        r, lo, mid, hi = self._split(r)
-        out = np.empty_like(r)
-        out[mid] = self.sol(r[mid])[0]
-        out[lo] = core_series(self.n, self.c_f, r[lo])[0]
-        out[hi] = far_profile(self.n, r[hi])[0]
-        return out if out.size > 1 else float(out[0])
+        return self._piece(r, 0)
 
     def df(self, r):
-        r, lo, mid, hi = self._split(r)
-        out = np.empty_like(r)
-        out[mid] = self.sol(r[mid])[1]
-        out[lo] = core_series(self.n, self.c_f, r[lo])[1]
-        out[hi] = far_profile(self.n, r[hi])[1]
-        return out if out.size > 1 else float(out[0])
+        return self._piece(r, 1)
 
     def moments(self, r):
-        """Cumulative moments (I1, I2) of xi f^2 (1-f^2) and xi f^2.
-
-        Beyond the solved range both are continued with the integrated
-        algebraic tail of the integrands, n^2/xi + (2n^2 - n^4)/xi^3 and
-        xi - n^2/xi - 2 n^2/xi^3 respectively.
-        """
-        r, lo, mid, hi = self._split(r)
-        i1 = np.empty_like(r)
-        i2 = np.empty_like(r)
-        if mid.any():
-            i1[mid] = self.sol(r[mid])[2]
-            i2[mid] = self._i2_spline(r[mid])
-        if lo.any():
-            # leading behavior of both integrands is c^2 xi^(2n+1)
-            lead = series_moment(self.n, self.c_f, r[lo])
-            i1[lo] = lead
-            i2[lo] = lead
-        if hi.any():
-            n2 = float(self.n * self.n)
-            t3 = 2.0 * n2 - n2 * n2
-            rm = self.r_max
-            i1_end = float(self.sol(np.array([rm]))[2, 0])
-            i2_end = float(self._i2_spline(rm))
-            rr = r[hi]
-            i1[hi] = i1_end + n2 * np.log(rr / rm) \
-                - 0.5 * t3 * (1.0 / rr ** 2 - 1.0 / rm ** 2)
-            i2[hi] = i2_end + 0.5 * (rr ** 2 - rm ** 2) \
-                - n2 * np.log(rr / rm) + n2 * (1.0 / rr ** 2 - 1.0 / rm ** 2)
-        if r.size > 1:
-            return i1, i2
-        return float(i1[0]), float(i2[0])
+        """Cumulative moments (I1, I2) of xi f^2 (1-f^2) and xi f^2,
+        read only on the solved range [r_start, r_max]."""
+        rr = np.asarray(r, dtype=float)
+        if np.any(rr < self.r_start) or np.any(rr > self.r_max):
+            raise ValueError("moments must be read inside the solved range")
+        i1, i2 = self.sol(rr)[2], self._i2_spline(rr)
+        return (float(i1), float(i2)) if np.isscalar(r) else (i1, i2)
 
 
 @lru_cache(maxsize=32)
@@ -207,7 +194,7 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
         return np.array([
             ya[0] - fs,
             ya[1] - gs,
-            ya[2] - series_moment(n, c, R_START),
+            ya[2] - series_moment(n, c, 0.0, R_START),
             yb[0] - far_f,
         ])
 
@@ -235,20 +222,17 @@ def v_inner(profile, q, k, r):
     """Slow phase gradient induced by the core profile.
 
     v(r) = -q (I1(r) - k^2 I2(r)) / (r f^2), from the once-integrated
-    angular-flux balance; near the origin this goes to zero linearly,
-    v ~ -q (1 - k^2) r / (2n + 2).
+    angular-flux balance; below the cut it follows the origin law
+    v ~ origin_slope * r, and past r_max the moments refuse to be read.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    tiny = r < profile.r_start
-    if tiny.any():
-        out[tiny] = -q * (1.0 - k * k) * r[tiny] / (2.0 * profile.n + 2.0)
-    rest = ~tiny
-    if rest.any():
-        i1, i2 = profile.moments(r[rest])
-        frest = profile.f(r[rest])
-        out[rest] = -q * (i1 - k * k * i2) / (r[rest] * frest * frest)
-    return out if out.size > 1 else float(out[0])
+    def from_moments(x):
+        i1, i2 = profile.moments(x)
+        fx = profile.f(x)
+        return -q * (i1 - k * k * i2) / (x * fx * fx)
+
+    return piecewise(r, profile.r_start, math.inf,
+                     lambda x: origin_slope(profile.n, q, k) * x,
+                     from_moments, None)
 
 
 @dataclass(frozen=True)
@@ -261,10 +245,6 @@ class TailConstant:
     r_eval: float
     halving_gap: float
 
-    def corrected(self, r, i1):
-        n2 = float(self.n * self.n)
-        return i1 - n2 * math.log(r) + 0.5 * (2.0 * n2 - n2 * n2) / (r * r)
-
 
 def tail_constant(profile, r_eval=None):
     """Extract lim_{r->inf} (I1(r) - n^2 log r) with its tail subtracted.
@@ -275,8 +255,6 @@ def tail_constant(profile, r_eval=None):
     """
     if r_eval is None:
         r_eval = profile.r_max
-    if r_eval > profile.r_max:
-        raise ValueError("tail constant must be read inside the solved range")
     n2 = float(profile.n ** 2)
     t3 = 2.0 * n2 - n2 * n2
 
@@ -303,7 +281,7 @@ def v_inner_by_ode(profile, q, k, r_grid):
     r0 = profile.r_start
     if r_grid[0] < r0:
         raise ValueError("cross-check grid must start at or above the cut")
-    v0 = -q * (1.0 - k * k) * r0 / (2.0 * n + 2.0)
+    v0 = origin_slope(n, q, k) * r0
 
     def rhs(r, y):
         f = profile.f(r)
@@ -354,6 +332,6 @@ def property_scan(profile, r_probe=None):
         "df_r3_coeff": float(df_coeff(r_probe)),
         "df_r3_expected": n2,
         "origin_slope": float(slope),
-        "origin_slope_expected": -1.0 / (2.0 * n + 2.0),
+        "origin_slope_expected": origin_slope(n, 1.0, 0.0),
         "v_envelope_constant": float(np.max(vgrid / envelope)),
     }

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import cumulative_midpoint_simpson
+from .core import cumulative_midpoint_simpson, origin_slope, piecewise
 
 __all__ = [
     "PhaseTable", "FieldGrid", "ArmSpacing", "theta_of_r", "sample_field",
@@ -56,17 +56,11 @@ class PhaseTable:
         return float(self._spline(self.r[-1], 1))
 
     def __call__(self, rr):
-        scalar = np.isscalar(rr)
-        rr = np.atleast_1d(np.asarray(rr, dtype=float))
-        out = np.empty_like(rr)
-        r0, r1 = self.r[0], self.r[-1]
-        lo = rr < r0
-        hi = rr > r1
-        mid = ~(lo | hi)
-        out[lo] = 0.5 * self.origin_slope * rr[lo] ** 2
-        out[mid] = self._spline(rr[mid])
-        out[hi] = self.theta[-1] + self.slope_end * (rr[hi] - r1)
-        return float(out[0]) if scalar else out
+        r1 = self.r[-1]
+        return piecewise(rr, self.r[0], r1,
+                         lambda x: 0.5 * self.origin_slope * x ** 2,
+                         self._spline,
+                         lambda x: self.theta[-1] + self.slope_end * (x - r1))
 
 
 def theta_of_r(profile):
@@ -81,7 +75,7 @@ def theta_of_r(profile):
     mid = 0.5 * (r[:-1] + r[1:])
     fm, _, wm = profile.interpolant(mid)
     vm = wm / (mid * fm * fm + 1e-300)
-    slope = -profile.q * (1.0 - profile.k ** 2) / (2 * profile.n + 2)
+    slope = origin_slope(profile.n, profile.q, profile.k)
     head = 0.5 * slope * r[0] ** 2
     theta = cumulative_midpoint_simpson(r, v, vm, head)
     return PhaseTable(r=r.copy(), theta=theta, origin_slope=slope)
@@ -144,11 +138,9 @@ def sample_field(profile, theta, n, omega, t, grid_spec, chirality=1):
     X, Y = np.meshgrid(x, y)
     r = np.hypot(X, Y)
     phi = np.arctan2(Y, X)
-    inside = r <= profile.r_max
-    f = np.empty_like(r)
-    f[inside] = profile.f_at(r[inside])
-    f[~inside] = profile.f[-1]
-    psi = theta(r.ravel()).reshape(r.shape) + chirality * n * phi + omega * t
+    f = piecewise(r, -math.inf, profile.r_max, None, profile.f_at,
+                  lambda x: profile.f[-1])
+    psi = theta(r) + chirality * n * phi + omega * t
     values = f * np.exp(1j * psi)
     return FieldGrid(nx=nx, ny=ny, extent=float(extent), t=float(t),
                      chirality=int(chirality), n=int(n), q=float(profile.q),

@@ -179,12 +179,13 @@ def f_out(params, r=None, log_r=None):
 def property_scan(nu, R_max=1000.0, points=200):
     """Measure the slope's guaranteed shape on its certified window.
 
-    Scans [sign floor, R_max]: the worst Riccati residual (with the
-    independent second derivative), the sign and monotonicity margins, and
-    the fitted constant of the far law |V0 + 1 + 1/(2R)| <= c / R^2.
+    Scans [sign floor, R_max], starting no lower than the float64 limit
+    specfun.X_MIN (which the sign floor undercuts for nu below ~0.0045):
+    the worst Riccati residual (with the independent second derivative),
+    the sign and monotonicity margins, and the fitted constant of the far
+    law |V0 + 1 + 1/(2R)| <= c / R^2.
     """
-    lo = sign_floor(nu)
-    grid = np.geomspace(max(lo, 1e-300), R_max, points)
+    grid = np.geomspace(max(sign_floor(nu), specfun.X_MIN), R_max, points)
     V = np.empty_like(grid)
     dV = np.empty_like(grid)
     worst_resid = 0.0

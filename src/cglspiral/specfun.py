@@ -71,6 +71,10 @@ SERIES_TERMS = 200
 # their smallest term
 ASYM_TERMS = 60
 UNDERFLOW_WALL = 745.0  # exp(-746) is zero in float64
+# smallest argument the series holds in float64 at every order: below it
+# K'' ~ 1/x^2 overflows (from x ~ 6e-151 to 3e-151, by order) and x*x
+# underflows (from x ~ 1.5e-162)
+X_MIN = 1e-150
 # K_{i nu} is even in nu, so evaluating orders below this floor at the
 # floor moves K by O((nu log x)^2), below 1e-35 relative for x > 1e-150
 _NU_FLOOR = 1e-20
@@ -227,7 +231,8 @@ def _series_core(nu, x):
 def _float64_limit(nu, x):
     return ValueError(
         f"K_{{i nu}} at nu={nu!r}, x={x!r} is beyond float64 range: below "
-        "x ~ 1e-150 the series' x*x underflows or K'' ~ 1/x^2 overflows")
+        f"specfun.X_MIN = {X_MIN:g} the series' x*x underflows or "
+        "K'' ~ 1/x^2 overflows")
 
 
 def _series_triple(nu, x):
@@ -246,40 +251,27 @@ def _asym_sums(nu, x):
     before its terms start growing and the first omitted term is the error.
     """
     muhat = -4.0 * nu * nu
-    S, Sp, Spp = 1.0, 0.0, 0.0
+    sums = [1.0, 0.0, 0.0]
+    # the last term looked at: the last one added while a sum runs, its
+    # first growing term once it has stopped
+    err = [math.inf] * 3
+    running = [True] * 3
     a = 1.0
-    prev0 = prev1 = prev2 = math.inf
-    stop0 = stop1 = stop2 = False
-    err0 = err1 = err2 = 0.0
     for j in range(1, ASYM_TERMS):
         a *= (muhat - (2 * j - 1) ** 2) / (8.0 * j)
-        t0 = a * x ** (-j)
-        t1 = -j * a * x ** (-j - 1)
-        t2 = j * (j + 1) * a * x ** (-j - 2)
-        if not stop0:
-            if abs(t0) >= prev0:
-                stop0, err0 = True, abs(t0)
-            else:
-                S += t0
-                prev0 = abs(t0)
-                err0 = abs(t0)
-        if not stop1:
-            if abs(t1) >= prev1:
-                stop1, err1 = True, abs(t1)
-            else:
-                Sp += t1
-                prev1 = abs(t1)
-                err1 = abs(t1)
-        if not stop2:
-            if abs(t2) >= prev2:
-                stop2, err2 = True, abs(t2)
-            else:
-                Spp += t2
-                prev2 = abs(t2)
-                err2 = abs(t2)
-        if stop0 and stop1 and stop2:
+        terms = (a * x ** (-j), -j * a * x ** (-j - 1),
+                 j * (j + 1) * a * x ** (-j - 2))
+        for i, t in enumerate(terms):
+            if running[i]:
+                if abs(t) >= err[i]:
+                    running[i] = False
+                else:
+                    sums[i] += t
+                err[i] = abs(t)
+        if not any(running):
             break
-    return S, Sp, Spp, max(err0, err1 / max(abs(Sp), 1.0), err2)
+    S, Sp, Spp = sums
+    return S, Sp, Spp, max(err[0], err[1] / max(abs(Sp), 1.0), err[2])
 
 
 def asym_log_slope(nu, x):

@@ -2,8 +2,10 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,35 @@ class TestOuterEval:
         assert rc == 1
         assert "grid spec" in err
 
+    @pytest.mark.parametrize("spec", ["2:1:5", "1:2:1"])
+    def test_degenerate_grid_spec(self, capsys, tmp_path, spec):
+        rc, out, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
+                           "--k", "0.09", "--r-grid", spec,
+                           "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "0 < lo < hi and count >= 2" in err
+
+    def test_linear_grid(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "outer-eval", "--n", "1", "--q", "-0.5",
+                       "--k", "0.09", "--r-grid", "40:400:7:lin",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        data = np.loadtxt(tmp_path / "outer_eval.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(data[:, 0], np.linspace(40.0, 400.0, 7))
+        # negative twist mirrors the phase gradient, not the amplitude
+        assert np.all(data[:, 4] > 0.0) and np.all(data[:, 3] > 0.0)
+
+    def test_core_region_is_domain_error(self, capsys, tmp_path):
+        # R = k|q| r = 0.25 passes the oscillation floor, but the far-field
+        # amplitude radicand is negative there
+        rc, _, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
+                         "--k", "0.5", "--r-grid", "1:2:3",
+                         "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "radicand" in err
+        assert not (tmp_path / "outer_eval.csv").exists()
+
 
 class TestInnerSolve:
     def test_json_and_csv(self, capsys, tmp_path):
@@ -232,6 +263,12 @@ class TestSolveAndSweep:
         assert math.isfinite(data[0, 1])
         assert math.isnan(data[1, 1])
 
+    def test_empty_q_list(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "sweep", "--n", "1", "--q-list", ",",
+                         "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "at least one twist" in err
+
     def test_ascending_list_rejected(self, capsys, tmp_path):
         rc, out, err = run(capsys, "sweep", "--n", "1", "--q-list",
                            "0.5,0.8", "--out-dir", str(tmp_path))
@@ -306,6 +343,34 @@ class TestFieldCommand:
         assert rc == 0
         doc = json.loads((tmp_path / "f.json").read_text())
         assert doc["nx"] == 9 and len(doc["re"]) == 81
+
+
+    def test_nonpositive_extent(self, capsys, tmp_path):
+        report = tmp_path / "solve_report.json"
+        report.write_text(json.dumps({"n": 1, "q": 0.5, "k_numeric": 0.09,
+                                      "c_f": 0.58, "r_max": 20.0,
+                                      "tol": 1e-10}))
+        rc, _, err = run(capsys, "field", "--solve-report", str(report),
+                         "--extent", "0", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "--extent must be positive" in err
+
+
+class TestReadmeExamples:
+    def test_command_line_block_runs(self, capsys, tmp_path, monkeypatch):
+        # every command of the README's "Command line" block, in order,
+        # from a fresh working directory: each must exit 0
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().split("## Command line", 1)[1]
+        block = text.split("```\n", 2)[1]
+        monkeypatch.chdir(tmp_path)
+        lines = [ln for ln in block.splitlines() if ln.strip()]
+        assert lines
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "cglspiral"
+            rc, _, err = run(capsys, *argv[1:])
+            assert rc == 0, (line, err)
 
 
 class TestConfigFile:

@@ -194,3 +194,46 @@ def test_tail_constant_outside_range_rejected():
     p = core.solve_profile(1)
     with pytest.raises(ValueError):
         core.tail_constant(p, p.r_max * 2.0)
+
+
+def test_moments_and_v_inner_refuse_past_solved_range():
+    p = core.solve_profile(1)
+    with pytest.raises(ValueError, match="solved range"):
+        p.moments(2.0 * p.r_max)
+    with pytest.raises(ValueError, match="solved range"):
+        p.moments(0.5 * p.r_start)
+    with pytest.raises(ValueError, match="solved range"):
+        core.v_inner(p, 0.5, 0.05, np.array([1.0, 2.0 * p.r_max]))
+    # the ends themselves are in range
+    assert np.all(np.isfinite(p.moments(np.array([p.r_start, p.r_max]))))
+
+
+def test_piecewise_pieces_and_return_convention():
+    calls = []
+
+    def piece(tag):
+        def fn(x):
+            calls.append((tag, x.copy()))
+            return np.full_like(x, tag)
+        return fn
+
+    r = np.array([[0.5, 1.0], [2.0, 3.5]])
+    out = core.piecewise(r, 1.0, 2.0, piece(-1.0), piece(0.0), piece(1.0))
+    assert out.shape == r.shape
+    assert np.array_equal(out, [[-1.0, 0.0], [0.0, 1.0]])
+    assert [tag for tag, _ in calls] == [-1.0, 0.0, 1.0]
+    assert np.array_equal(calls[1][1], [1.0, 2.0])
+    # a scalar gives a float; a piece whose range is empty is never called
+    val = core.piecewise(1.5, -np.inf, np.inf, None, piece(7.0), None)
+    assert type(val) is float and val == 7.0
+    assert core.piecewise(np.array([1.5]), 1.0, 2.0, None, piece(7.0),
+                          None).shape == (1,)
+
+
+def test_origin_law_in_one_place():
+    p = core.solve_profile(2)
+    slope = core.origin_slope(2, 0.5, 0.1)
+    assert slope == -0.5 * (1.0 - 0.1 ** 2) / 6
+    r = 0.25 * p.r_start
+    assert core.v_inner(p, 0.5, 0.1, r) == slope * r
+    assert core.series_moment(2, 0.3, 0.0, 0.1) == 0.3 * 0.3 * 0.1 ** 6 / 6

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
-from cglspiral import outer
+from cglspiral import outer, specfun
 
 
 def test_riccati_residual_on_certified_window():
@@ -24,6 +24,24 @@ def test_sign_and_monotonicity_margins():
         assert scan["sign_margin"] > 0.0, nu
         assert scan["monotone_margin"] > 0.0, nu
         assert scan["slope_margin"] > 0.0, nu
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.003])
+def test_scan_below_float64_limit_starts_at_x_min(nu):
+    # the sign floor lies below specfun.X_MIN for these orders (5.9e-227
+    # at 0.003, zero at 0), so the scan starts at the float64 limit
+    scan = outer.property_scan(nu)
+    assert scan["window"][0] == specfun.X_MIN
+    assert scan["sign_margin"] > 0.0
+    assert scan["monotone_margin"] > 0.0
+    assert scan["slope_margin"] > 0.0
+    assert scan["riccati_worst"] <= 1e-8
+
+
+def test_scan_window_starts_at_sign_floor():
+    scan = outer.property_scan(0.1)
+    assert scan["window"][0] == outer.sign_floor(0.1)
+    assert scan["window"][0] == pytest.approx(2.227e-6, rel=1e-3)
 
 
 def test_far_law_constant_bounded():

@@ -320,3 +320,8 @@ def test_err_estimate_reported():
     assert 0.0 < s.err_estimate <= 1e-12
     a = sf.k_imag(0.3, 10.0)
     assert 1e-16 < a.err_estimate < 1e-8
+
+
+def test_negative_order_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sf.k_imag(-0.1, 1.0)
