@@ -10,14 +10,14 @@ independently summed derivative, so it actually tests the identity.
 
 import numpy as np
 
-from cglspiral import outer
+from cglspiral import outer, specfun
 
 nu = 0.1
 print(f"decaying slope for nu = {nu}")
 print(f"window: [{outer.validity_floor(nu):.3e}, inf); "
-      f"clean signs from {outer.sign_floor(nu):.3e}")
+      f"clean signs from {specfun.sign_validity_floor(nu):.3e}")
 print(f"{'R':>10}  {'V0':>12}  {'V0 + 1 + 1/(2R)':>16}  {'riccati resid':>13}")
-for R in np.geomspace(outer.sign_floor(nu), 1e3, 12):
+for R in np.geomspace(specfun.sign_validity_floor(nu), 1e3, 12):
     R = float(R)
     V0, dV0 = outer.decay_slope(nu, R)
     resid = dV0 - (1.0 - nu * nu / R ** 2 - V0 / R - V0 ** 2)
@@ -33,7 +33,7 @@ print(f"  far-law constant |V0+1+1/(2R)| R^2 <= {scan['far_law_constant']:.4f}")
 
 print()
 print("physical-variable view at (n=1, q=0.5, k=0.09):")
-params = outer.OuterParams(n=1, q=0.5, k=0.09)
+params = outer.SpiralParams(n=1, q=0.5, k=0.09)
 for r in (40.0, 100.0, 400.0):
     v = outer.v_out(params, r=r)
     f = outer.f_out(params, r=r)

@@ -126,18 +126,13 @@ def _cmd_bessel_eval(args):
 
 
 def _cmd_outer_eval(args):
-    params = outer.OuterParams(n=int(args.n), q=args.q, k=args.k)
+    params = outer.SpiralParams(n=int(args.n), q=args.q, k=args.k)
     r = _parse_grid_spec(args.r_grid)
     R = params.eps * r
     V0, dV0, F0, v = (np.empty_like(R) for _ in range(4))
     for i, Ri in enumerate(R.tolist()):
-        V0[i], dV0[i], rad, v[i] = outer.far_field(
-            params.n, params.q, params.k, params.k * params.k, Ri)
-        if rad <= 0.0:
-            raise CliError(f"amplitude radicand {rad:.3e} is not positive at "
-                           f"R={Ri!r}; the far-field form does not extend "
-                           "this far inward")
-        F0[i] = math.sqrt(rad)
+        V0[i], dV0[i], F0[i], v[i] = outer.far_field(
+            params.n, params.q, params.k, Ri)
     resid = dV0 - (1.0 - params.nu ** 2 / R ** 2 - V0 / R - V0 ** 2)
     out = args.out_dir / _resolve(args, "out", "outer_eval.csv")
     field.write_csv(out, "r,R,V0,F0,v_out,f_out,riccati_residual",

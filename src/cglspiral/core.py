@@ -295,19 +295,19 @@ def v_inner_by_ode(profile, q, k, r_grid):
     return out.y[0]
 
 
-def property_scan(profile, r_probe=None):
+def property_scan(profile):
     """Measure the structural properties the profile is supposed to have.
 
     Returns a dict with: strict monotonicity and range of f; the measured
-    r^4 coefficient of 1 - f^2 - n^2/r^2 at two radii (should be 2 n^2);
-    the measured r^3 df coefficient (should be n^2); the numeric limit of
-    the phase-gradient slope at the origin against -(1)/(2n+2); and the
-    fitted envelope constant of |v| / (q (1 + log(1+r^2)) / (1+r)).
+    r^4 coefficient of 1 - f^2 - n^2/r^2 at r_max/2 and r_max/4 (should
+    be 2 n^2); the measured r^3 df coefficient at r_max/2 (should be
+    n^2); the phase-gradient slope v/r read from the collocated moments
+    at 2 r_start, against the origin law -1/(2n+2); and the fitted
+    envelope constant of |v| / (q (1 + log(1+r^2)) / (1+r)).
     """
     n = profile.n
     n2 = float(n * n)
-    if r_probe is None:
-        r_probe = 0.5 * profile.r_max
+    r_probe = 0.5 * profile.r_max
     grid = np.geomspace(profile.r_start, profile.r_max, 4000)
     fvals = profile.f(grid)
     dfvals = profile.df(grid)
@@ -319,7 +319,7 @@ def property_scan(profile, r_probe=None):
     def df_coeff(r):
         return profile.df(r) * r ** 3
 
-    r_lin = profile.r_start * 0.5
+    r_lin = 2.0 * profile.r_start
     slope = v_inner(profile, 1.0, 0.0, r_lin) / r_lin
     vgrid = np.abs(v_inner(profile, 1.0, 0.0, grid))
     envelope = (1.0 + np.log1p(grid * grid)) / (1.0 + grid)

@@ -138,8 +138,7 @@ def sample_field(profile, theta, n, omega, t, grid_spec, chirality=1):
     X, Y = np.meshgrid(x, y)
     r = np.hypot(X, Y)
     phi = np.arctan2(Y, X)
-    f = piecewise(r, -math.inf, profile.r_max, None, profile.f_at,
-                  lambda x: profile.f[-1])
+    f = profile.f_at(r)
     psi = theta(r) + chirality * n * phi + omega * t
     values = f * np.exp(1j * psi)
     return FieldGrid(nx=nx, ny=ny, extent=float(extent), t=float(t),

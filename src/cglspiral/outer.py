@@ -31,9 +31,8 @@ import numpy as np
 from . import specfun
 
 __all__ = [
-    "OuterParams", "validity_floor", "sign_floor", "decay_slope",
-    "far_field", "slope_cotangent", "amplitude_factor", "v_out", "f_out",
-    "property_scan",
+    "SpiralParams", "validity_floor", "decay_slope", "far_field",
+    "slope_cotangent", "amplitude_factor", "v_out", "f_out", "property_scan",
 ]
 
 
@@ -44,14 +43,9 @@ def validity_floor(nu):
     return 2.0 * math.exp(-math.pi / (2.0 * nu))
 
 
-def sign_floor(nu):
-    """Floor above which the slope is guaranteed negative and increasing."""
-    return specfun.sign_validity_floor(nu)
-
-
 @dataclass(frozen=True)
-class OuterParams:
-    """Arm count, twist and spatial wavenumber of one far-field branch."""
+class SpiralParams:
+    """Arm count, twist and wavenumber of one twisted solution."""
 
     n: int
     q: float
@@ -61,9 +55,9 @@ class OuterParams:
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError(f"arm count must be a positive integer, got {self.n!r}")
         if self.q == 0.0:
-            raise ValueError("the far-field branch needs a nonzero twist")
-        if self.k <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got {self.k!r}")
+            raise ValueError("a twisted solution needs a nonzero twist")
+        if not 0.0 < self.k < 1.0:
+            raise ValueError(f"wavenumber must lie in (0, 1), got {self.k!r}")
 
     @property
     def nu(self):
@@ -74,8 +68,11 @@ class OuterParams:
         return self.k * abs(self.q)
 
     @property
-    def chirality(self):
-        return 1.0 if self.q > 0.0 else -1.0
+    def mu(self):
+        """Prefactor k |q| e^{pi/(2 n |q|)}, composed in log space."""
+        log_mu = math.log(self.k) + math.log(abs(self.q)) \
+            + math.pi / (2.0 * self.n * abs(self.q))
+        return math.exp(log_mu) if log_mu < 709.0 else math.inf
 
 
 def decay_slope(nu, R, allow_oscillatory=False):
@@ -90,10 +87,11 @@ def decay_slope(nu, R, allow_oscillatory=False):
     calls raise unless ``allow_oscillatory`` is set.
     """
     if R <= 0.0:
-        raise ValueError(f"stretched radius must be positive, got R={R!r}")
+        raise ValueError(
+            f"stretched radius must be positive, got R={float(R)!r}")
     if R < validity_floor(nu) and not allow_oscillatory:
         raise ValueError(
-            f"stretched radius {R!r} is below the oscillation floor "
+            f"stretched radius {float(R)!r} is below the oscillation floor "
             f"{validity_floor(nu):.3e} for nu={nu!r}; the decaying slope "
             "is not single-signed there (pass allow_oscillatory=True to "
             "evaluate anyway)"
@@ -101,17 +99,24 @@ def decay_slope(nu, R, allow_oscillatory=False):
     return specfun.log_slope(nu, R)
 
 
-def far_field(n, q, k, k2, R):
-    """Far-field pair at stretched radius R: (V0, V0', f^2, v).
+def far_field(n, q, k, R):
+    """Far-field quadruple at stretched radius R: (V0, V0', F0, v).
 
-    f^2 = 1 - k^2 V0^2 - (eps n/R)^2 and v = sgn(q) k V0(R), with
-    eps = k|q|.  k2 is passed apart from k so that the Newton boundary
-    condition can cap it.
+    F0 = sqrt(1 - k^2 V0^2 - (eps n/R)^2) and v = sgn(q) k V0(R), with
+    eps = k|q|.  Raises when the radicand is not positive, which happens
+    when the evaluation point is pushed into the core region where this
+    description does not apply.
     """
     sgn = 1.0 if q > 0 else -1.0
     eps = k * abs(q)
     V0, dV0 = decay_slope(n * abs(q), R)
-    return V0, dV0, 1.0 - k2 * V0 * V0 - (eps * n / R) ** 2, sgn * k * V0
+    rad = 1.0 - k * k * V0 * V0 - (eps * n / R) ** 2
+    if rad <= 0.0:
+        raise ValueError(
+            f"amplitude radicand {rad:.3e} is not positive at R={float(R)!r}; "
+            "the far-field form does not extend this far inward"
+        )
+    return V0, dV0, math.sqrt(rad), sgn * k * V0
 
 
 def slope_cotangent(nu, R):
@@ -131,19 +136,11 @@ def amplitude_factor(params, R):
     """(F0, F0') of the far-field amplitude at stretched radius R.
 
     F0 = sqrt(1 - k^2 V0^2 - eps^2 n^2 / R^2); decays to sqrt(1 - k^2) as
-    R grows.  Raises when the radicand is not positive, which happens when
-    the evaluation point is pushed into the core region where this
-    description does not apply.
+    R grows.  Raises, through :func:`far_field`, inside the core region.
     """
-    k2 = params.k * params.k
-    V0, dV0, rad, _ = far_field(params.n, params.q, params.k, k2, R)
-    if rad <= 0.0:
-        raise ValueError(
-            f"amplitude radicand {rad:.3e} is not positive at R={R!r}; "
-            "the far-field form does not extend this far inward"
-        )
-    F0 = math.sqrt(rad)
-    dF0 = (-k2 * V0 * dV0 + (params.eps * params.n / R) ** 2 / R) / F0
+    V0, dV0, F0, _ = far_field(params.n, params.q, params.k, R)
+    dF0 = (-params.k * params.k * V0 * dV0
+           + (params.eps * params.n / R) ** 2 / R) / F0
     return F0, dF0
 
 
@@ -163,10 +160,10 @@ def v_out(params, r=None, log_r=None):
     """Far-field phase gradient at physical radius r (or its log).
 
     Negative-twist branches are the mirror images of positive ones: the
-    gradient flips sign with the chirality.
+    gradient flips sign with the twist.
     """
     R = _stretched_radius(params, r, log_r)
-    return far_field(params.n, params.q, params.k, params.k * params.k, R)[3]
+    return far_field(params.n, params.q, params.k, R)[3]
 
 
 def f_out(params, r=None, log_r=None):
@@ -185,7 +182,8 @@ def property_scan(nu, R_max=1000.0, points=200):
     the sign and monotonicity margins, and the fitted constant of the far
     law |V0 + 1 + 1/(2R)| <= c / R^2.
     """
-    grid = np.geomspace(max(sign_floor(nu), specfun.X_MIN), R_max, points)
+    grid = np.geomspace(max(specfun.sign_validity_floor(nu), specfun.X_MIN),
+                       R_max, points)
     V = np.empty_like(grid)
     dV = np.empty_like(grid)
     worst_resid = 0.0

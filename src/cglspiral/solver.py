@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, solve_bvp, solve_ivp
 
 from . import core, outer, wavenumber
+from .outer import SpiralParams
 
 __all__ = [
     "SpiralParams", "RadialProfile", "WavenumberReport",
@@ -44,38 +45,6 @@ MAX_DOMAIN = 1e5
 # the domain (and node count) grows, and [0.5, 2] is the validated window
 R_MATCH_TARGET = 1.6
 R_MATCH_WINDOW = (0.5, 2.0)
-
-
-@dataclass(frozen=True)
-class SpiralParams:
-    """Arm count, twist, and wavenumber bundle."""
-
-    n: int
-    q: float
-    k: float
-
-    def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"arm count must be a positive integer, got {self.n!r}")
-        if self.k < 0.0 or self.k >= 1.0:
-            raise ValueError(f"wavenumber must lie in [0, 1), got {self.k!r}")
-
-    @property
-    def eps(self):
-        return self.k * abs(self.q)
-
-    @property
-    def nu(self):
-        return self.n * abs(self.q)
-
-    @property
-    def mu(self):
-        """Prefactor k |q| e^{pi/(2 n |q|)}, composed in log space."""
-        if self.q == 0.0 or self.k == 0.0:
-            return 0.0
-        log_mu = math.log(self.k) + math.log(abs(self.q)) \
-            + math.pi / (2.0 * self.n * abs(self.q))
-        return math.exp(log_mu) if log_mu < 709.0 else math.inf
 
 
 @dataclass
@@ -114,21 +83,24 @@ class RadialProfile:
         return float(np.max(np.abs(self.w + self.q * self.integral)))
 
     def f_at(self, r):
-        """Amplitude at radii r: series below r_start, interpolant above."""
+        """Amplitude at radii r: series below r_start, interpolant on the
+        grid, frozen at f[-1] past r_max."""
         return core.piecewise(
-            r, self.r_start, math.inf,
+            r, self.r_start, self.r_max,
             lambda x: core.core_series(self.n, self.c_f, x)[0],
-            lambda x: self.interpolant(x)[0], None)
+            lambda x: self.interpolant(x)[0], lambda x: self.f[-1])
 
     def v_at(self, r):
-        """Phase gradient at radii r, origin-regular below r_start."""
+        """Phase gradient at radii r, origin-regular below r_start and
+        frozen at v[-1] past r_max."""
         def from_w(x):
             y = self.interpolant(x)
             return y[2] / (x * y[0] * y[0] + _TINY)
 
         slope = core.origin_slope(self.n, self.q, self.k)
-        return core.piecewise(r, self.r_start, math.inf,
-                              lambda x: slope * x, from_w, None)
+        return core.piecewise(r, self.r_start, self.r_max,
+                              lambda x: slope * x, from_w,
+                              lambda x: self.v[-1])
 
 
 @dataclass
@@ -196,11 +168,11 @@ def cgl_lambda_omega(q, k, Omega):
     return lam, om
 
 
-def _series_start(n, q, c, k2, r_start):
-    fs, dfs = core.core_series(n, c, r_start)
+def _series_start(n, q, c, k2):
+    fs, dfs = core.core_series(n, c, core.R_START)
     # not -q * core.series_moment(...): that moves w0's last bit, and with
     # it the cold n = 2, q = 0.4 mesh from 3,418 to 61,084 nodes
-    w0 = -q * c * c * (1.0 - k2) * r_start ** (2 * n + 2) / (2 * n + 2)
+    w0 = -q * c * c * (1.0 - k2) * core.R_START ** (2 * n + 2) / (2 * n + 2)
     return fs, dfs, w0
 
 
@@ -232,7 +204,7 @@ def integrate_from_origin(params, c_f_guess, r_max):
     escape.direction = -1
 
     r_start = core.R_START
-    fs, dfs, w0 = _series_start(n, q, c_f_guess, k2, r_start)
+    fs, dfs, w0 = _series_start(n, q, c_f_guess, k2)
     I0 = core.series_moment(n, c_f_guess, k2, r_start)
     grid = np.geomspace(r_start, r_max, 2000)
     sol = solve_ivp(rhs, (r_start, r_max), [fs, dfs, I0], method="DOP853",
@@ -263,12 +235,8 @@ def outer_mismatch(f_end, v_end, params, r_max):
         raise ValueError(
             f"matching radius R={R:.4g} outside validated window "
             f"[{floor:.4g}, 1e3] for nu={params.nu:.4g}")
-    _, _, rad, v_o = outer.far_field(params.n, params.q, params.k,
-                                     params.k * params.k, R)
-    if rad <= 0.0:
-        raise ValueError(
-            f"far-field amplitude undefined at R={R:.4g} (core region)")
-    return float(f_end - math.sqrt(rad)), float(v_end - v_o)
+    _, _, f_o, v_o = outer.far_field(params.n, params.q, params.k, R)
+    return float(f_end - f_o), float(v_end - v_o)
 
 
 def _collocation_solve(n, q, k0, c0, r_max, tol):
@@ -287,14 +255,8 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
     def bc(ya, yb, p):
         c, logk = p
         k = np.exp(logk)
-        k2 = min(k * k, 0.98)
-        fs, dfs, w0 = _series_start(n, q, c, k2, core.R_START)
-        try:
-            _, _, rad, v_o = outer.far_field(n, q, k, k2, k * abs(q) * r_max)
-            f_o = math.sqrt(max(rad, 1e-12))
-        except Exception:
-            f_o = math.sqrt(1.0 - k2)
-            v_o = -sgn * k
+        fs, dfs, w0 = _series_start(n, q, c, k * k)
+        _, _, f_o, v_o = outer.far_field(n, q, k, k * abs(q) * r_max)
         v_end = yb[2] / (r_max * yb[0] * yb[0] + _TINY)
         return np.array([ya[0] - fs, ya[1] - dfs, ya[2] - w0,
                          yb[0] - f_o, v_end - v_o])
@@ -305,8 +267,18 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
     rb = k0 * (2 * n + 2) / (abs(q) * (1.0 - k0 * k0))
     v0 = -sgn * k0 * r / np.sqrt(r * r + rb * rb)
     y = np.vstack([f0, prof0.df(r), r * f0 * f0 * v0])
-    return solve_bvp(fun, bc, r, y, p=[c0, math.log(k0)], tol=tol,
-                     max_nodes=core.MAX_NODES, verbose=0)
+    try:
+        sol = solve_bvp(fun, bc, r, y, p=[c0, math.log(k0)], tol=tol,
+                        max_nodes=core.MAX_NODES, verbose=0)
+    except ValueError as exc:
+        # an iterate left the far field's domain: outer.far_field refused
+        reason = exc
+    else:
+        if sol.status == 0:
+            return sol
+        reason = sol.message
+    raise RuntimeError(f"collocation failed at n={n}, q={q} "
+                       f"(r_max={r_max:.4g}): {reason}")
 
 
 def _profile_from_collocation(n, q, sol):
@@ -378,7 +350,9 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     The matching radius (unless given) targets k|q| r_max ~ 1.6 and is
     re-adapted if the converged k lands outside the validated window.
     Twists whose matching radius exceeds the domain budget MAX_DOMAIN are
-    refused before any solve, with the radius they need spelled out.
+    refused before any solve, with the radius they need spelled out.  The
+    outer boundary condition is outer.far_field itself, so a Newton
+    iterate outside its domain fails the solve with its reason.
     """
     if q == 0.0:
         return _q0_solve(n)
@@ -406,10 +380,6 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
 
     for attempt in range(3):
         sol = _collocation_solve(n, q, k0, c0, chosen_r_max, tol)
-        if sol.status != 0:
-            raise RuntimeError(
-                f"collocation failed at n={n}, q={q} (r_max={chosen_r_max:.4g}): "
-                f"{sol.message}")
         k = float(np.exp(sol.p[1]))
         R_actual = k * abs(q) * chosen_r_max
         if r_max is not None or R_MATCH_WINDOW[0] <= R_actual <= R_MATCH_WINDOW[1]:

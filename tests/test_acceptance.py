@@ -56,7 +56,7 @@ def test_01_bessel_cross_validation():
 def test_02_riccati_residual_and_shape():
     """Far-field slope satisfies its first-order equation with clean signs."""
     for nu in (0.05, 0.1, 0.3):
-        lo = outer.sign_floor(nu)
+        lo = specfun.sign_validity_floor(nu)
         for R in np.geomspace(lo, 1e3, 60):
             R = float(R)
             V0, dV0 = outer.decay_slope(nu, R)

@@ -163,6 +163,13 @@ class TestOuterEval:
         assert "radicand" in err
         assert not (tmp_path / "outer_eval.csv").exists()
 
+    def test_wavenumber_past_one_is_domain_error(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
+                         "--k", "1.0", "--r-grid", "40:400:3",
+                         "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "wavenumber" in err
+
 
 class TestInnerSolve:
     def test_json_and_csv(self, capsys, tmp_path):
@@ -236,6 +243,18 @@ class TestSolveAndSweep:
         for name in ("solve_report.json", "solve_profile.csv",
                      "solve_manifest.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_solve_from_k_init(self, capsys, tmp_path):
+        # the seed k moves the matching radius (35.6 against 37.1), so the
+        # seeded k agrees with the auto solve to the matching-radius error
+        rc, out, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                         "--k-init", "0.09", "--out-dir", str(tmp_path),
+                         "--quiet")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["k_numeric"] == pytest.approx(0.0936689780, rel=1e-4)
+        manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
+        assert manifest["config"]["k_init"] == "0.09"
 
     def test_sweep_csv(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "sweep", "--n", "1", "--q-list",

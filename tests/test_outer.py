@@ -40,7 +40,7 @@ def test_scan_below_float64_limit_starts_at_x_min(nu):
 
 def test_scan_window_starts_at_sign_floor():
     scan = outer.property_scan(0.1)
-    assert scan["window"][0] == outer.sign_floor(0.1)
+    assert scan["window"][0] == specfun.sign_validity_floor(0.1)
     assert scan["window"][0] == pytest.approx(2.227e-6, rel=1e-3)
 
 
@@ -56,7 +56,7 @@ def test_slope_riccati_property_random():
     for _ in range(40):
         nu = rng.uniform(0.03, 0.5)
         t = rng.uniform(0.0, 1.0)
-        lo = outer.sign_floor(nu)
+        lo = specfun.sign_validity_floor(nu)
         R = lo * (1000.0 / lo) ** t
         V, dV = outer.decay_slope(nu, R)
         rhs = 1.0 - nu * nu / (R * R) - V / R - V * V
@@ -106,28 +106,28 @@ def test_refusal_below_floor_and_override():
 
 
 def test_params_properties_and_validation():
-    p = outer.OuterParams(n=2, q=-0.5, k=0.1)
+    p = outer.SpiralParams(n=2, q=-0.5, k=0.1)
     assert p.nu == pytest.approx(1.0)
     assert p.eps == pytest.approx(0.05)
-    assert p.chirality == -1.0
     with pytest.raises(ValueError):
-        outer.OuterParams(n=0, q=0.5, k=0.1)
+        outer.SpiralParams(n=0, q=0.5, k=0.1)
     with pytest.raises(ValueError):
-        outer.OuterParams(n=1, q=0.0, k=0.1)
-    with pytest.raises(ValueError):
-        outer.OuterParams(n=1, q=0.5, k=-0.1)
+        outer.SpiralParams(n=1, q=0.0, k=0.1)
+    for k in (-0.1, 0.0, 1.0):
+        with pytest.raises(ValueError, match="wavenumber"):
+            outer.SpiralParams(n=1, q=0.5, k=k)
 
 
 def test_chirality_mirror():
-    plus = outer.OuterParams(n=1, q=0.5, k=0.06)
-    minus = outer.OuterParams(n=1, q=-0.5, k=0.06)
+    plus = outer.SpiralParams(n=1, q=0.5, k=0.06)
+    minus = outer.SpiralParams(n=1, q=-0.5, k=0.06)
     for r in (5.0, 40.0, 300.0):
         assert outer.v_out(minus, r) == -outer.v_out(plus, r)
     assert outer.v_out(plus, 40.0) < 0.0
 
 
 def test_log_radius_path():
-    p = outer.OuterParams(n=1, q=0.4, k=0.05)
+    p = outer.SpiralParams(n=1, q=0.4, k=0.05)
     for r in (12.0, 95.0, 1e200):
         direct = outer.v_out(p, r)
         via_log = outer.v_out(p, log_r=math.log(r))
@@ -139,7 +139,7 @@ def test_log_radius_path():
 
 
 def test_amplitude_limit_and_derivative():
-    p = outer.OuterParams(n=1, q=0.5, k=0.1)
+    p = outer.SpiralParams(n=1, q=0.5, k=0.1)
     # approaches sqrt(1 - k^2) from below, at the k^2/R rate set by the
     # -1/(2R) tail of the slope
     limit = math.sqrt(1.0 - 0.01)
@@ -157,16 +157,20 @@ def test_amplitude_limit_and_derivative():
 
 
 def test_amplitude_refuses_core_region():
-    p = outer.OuterParams(n=1, q=0.5, k=0.5)
-    with pytest.raises(ValueError):
+    p = outer.SpiralParams(n=1, q=0.5, k=0.5)
+    with pytest.raises(ValueError, match="radicand"):
         outer.amplitude_factor(p, 0.2)
+    # the phase gradient shares the amplitude's domain: one far-field
+    # evaluation, one refusal
+    with pytest.raises(ValueError, match="radicand"):
+        outer.v_out(p, 0.2 / p.eps)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.5),
        st.floats(min_value=0.0, max_value=1.0))
 def test_slope_negative_above_sign_floor(nu, t):
-    lo = outer.sign_floor(nu)
+    lo = specfun.sign_validity_floor(nu)
     R = lo * (1000.0 / lo) ** t
     V, _ = outer.decay_slope(nu, R)
     assert V < 0.0

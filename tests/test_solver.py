@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cglspiral import core, solver, wavenumber
+from cglspiral import core, outer, solver, wavenumber
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,24 @@ def test_mirror_twist_symmetry(base):
     r = np.geomspace(0.01, prof_p.r_max, 200)
     assert np.max(np.abs(prof_m.v_at(r) + prof_p.v_at(r))) <= 1e-10
     assert np.max(np.abs(prof_m.f_at(r) - prof_p.f_at(r))) <= 1e-10
+
+
+def test_profile_freezes_past_r_max(base):
+    # past the solved range f and v hold their endpoint values, as the
+    # sampled field does; the interpolant's last cubic is not extrapolated
+    prof, _ = base
+    assert prof.f_at(3000.0) == prof.f[-1]
+    assert prof.v_at(3000.0) == prof.v[-1]
+    r = np.array([prof.r_max, 2.0 * prof.r_max])
+    assert np.array_equal(prof.f_at(r), [prof.f[-1], prof.f[-1]])
+
+
+@pytest.mark.parametrize("r_max", [1.0, 1.5])
+def test_matching_radius_below_oscillation_floor_fails(r_max):
+    # k|q| r_max lands below the far field's oscillation floor: the solve
+    # fails with the far field's reason instead of reporting a wrong k
+    with pytest.raises(RuntimeError, match="oscillation floor"):
+        solver.solve_spiral(1, 0.5, r_max=r_max)
 
 
 def test_sweep_wavenumber_decreasing(sweep):
@@ -266,7 +284,9 @@ def test_spiral_params_validation():
     p = solver.SpiralParams(2, -0.5, 0.1)
     assert p.eps == pytest.approx(0.05)
     assert p.nu == pytest.approx(1.0)
-    assert solver.SpiralParams(1, 0.0, 0.0).mu == 0.0
+    with pytest.raises(ValueError, match="twist"):
+        solver.SpiralParams(1, 0.0, 0.1)
+    assert solver.SpiralParams is outer.SpiralParams
     q = solver.SpiralParams(1, 0.5, 0.0936689780)
     assert q.mu == pytest.approx(0.0936689780 * 0.5 * math.exp(math.pi), rel=1e-12)
 
