@@ -35,7 +35,6 @@ print()
 print("physical-variable view at (n=1, q=0.5, k=0.09):")
 params = outer.SpiralParams(n=1, q=0.5, k=0.09)
 for r in (40.0, 100.0, 400.0):
-    v = outer.v_out(params, r=r)
-    f = outer.f_out(params, r=r)
+    _, _, f, v = outer.far_field(params.n, params.q, params.k, params.eps * r)
     print(f"  r={r:6.0f}: v_out = {v:+.6f} (heads to -k = {-params.k}), "
           f"f_out = {f:.6f}")

@@ -12,7 +12,8 @@ specfun
     integer-order I_n/K_n in log scale; arg Gamma(1 + k + i nu).
 outer
     The far-field branch: decaying logarithmic-derivative slope V0, its
-    Riccati equation, amplitude factor, validity floors.
+    Riccati equation, the far field (V0, V0', F0, v) at a stretched
+    radius, validity floors.
 core
     The untwisted radial amplitude f0 (boundary value solve), its rise
     coefficient, moments, and the log-subtracted tail constant.

@@ -14,9 +14,8 @@ phase gradient and amplitude follow as
 
 K_{i nu} oscillates for very small argument, so the slope only has its
 single-signed meaning above a floor ~ 2 e^{-pi/(2 nu)}; calls below it are
-refused unless explicitly overridden.  Above the slightly higher floor
-2 e^2 e^{-pi/(2 nu)} the slope is provably negative and increasing, which
-is what the scan here measures.
+refused.  Above the slightly higher floor 2 e^2 e^{-pi/(2 nu)} the slope is
+provably negative and increasing, which is what the scan here measures.
 
 Ratios K'/K and K''/K are formed scale-free in the large-argument branch
 (the e^{-R} envelope cancels analytically), so slopes remain finite far
@@ -32,7 +31,7 @@ from . import specfun
 
 __all__ = [
     "SpiralParams", "validity_floor", "decay_slope", "far_field",
-    "slope_cotangent", "amplitude_factor", "v_out", "f_out", "property_scan",
+    "slope_cotangent", "property_scan",
 ]
 
 
@@ -75,7 +74,7 @@ class SpiralParams:
         return math.exp(log_mu) if log_mu < 709.0 else math.inf
 
 
-def decay_slope(nu, R, allow_oscillatory=False):
+def decay_slope(nu, R):
     """(V0, V0') of the decaying branch at stretched radius R.
 
     The derivative comes from the independently summed second derivative
@@ -84,17 +83,16 @@ def decay_slope(nu, R, allow_oscillatory=False):
     equation stay meaningful.
 
     Below the oscillation floor the ratio has poles and sign flips; such
-    calls raise unless ``allow_oscillatory`` is set.
+    calls raise.
     """
     if R <= 0.0:
         raise ValueError(
             f"stretched radius must be positive, got R={float(R)!r}")
-    if R < validity_floor(nu) and not allow_oscillatory:
+    if R < validity_floor(nu):
         raise ValueError(
             f"stretched radius {float(R)!r} is below the oscillation floor "
             f"{validity_floor(nu):.3e} for nu={nu!r}; the decaying slope "
-            "is not single-signed there (pass allow_oscillatory=True to "
-            "evaluate anyway)"
+            "is not single-signed there"
         )
     return specfun.log_slope(nu, R)
 
@@ -130,47 +128,6 @@ def slope_cotangent(nu, R):
         raise ValueError(f"stretched radius must be positive, got R={R!r}")
     theta0 = specfun.gamma_arg(0, nu).theta
     return (nu / R) / math.tan(nu * math.log(0.5 * R) - theta0)
-
-
-def amplitude_factor(params, R):
-    """(F0, F0') of the far-field amplitude at stretched radius R.
-
-    F0 = sqrt(1 - k^2 V0^2 - eps^2 n^2 / R^2); decays to sqrt(1 - k^2) as
-    R grows.  Raises, through :func:`far_field`, inside the core region.
-    """
-    V0, dV0, F0, _ = far_field(params.n, params.q, params.k, R)
-    dF0 = (-params.k * params.k * V0 * dV0
-           + (params.eps * params.n / R) ** 2 / R) / F0
-    return F0, dF0
-
-
-def _stretched_radius(params, r, log_r):
-    if (r is None) == (log_r is None):
-        raise ValueError("pass exactly one of r or log_r")
-    if r is not None:
-        if r <= 0.0:
-            raise ValueError(f"radius must be positive, got r={r!r}")
-        return params.eps * r
-    # exponentially large radii enter through their logarithm so the
-    # stretched product forms without overflow
-    return math.exp(math.log(params.eps) + log_r)
-
-
-def v_out(params, r=None, log_r=None):
-    """Far-field phase gradient at physical radius r (or its log).
-
-    Negative-twist branches are the mirror images of positive ones: the
-    gradient flips sign with the twist.
-    """
-    R = _stretched_radius(params, r, log_r)
-    return far_field(params.n, params.q, params.k, R)[3]
-
-
-def f_out(params, r=None, log_r=None):
-    """Far-field amplitude at physical radius r (or its log)."""
-    R = _stretched_radius(params, r, log_r)
-    F0, _ = amplitude_factor(params, R)
-    return F0
 
 
 def property_scan(nu, R_max=1000.0, points=200):

@@ -32,7 +32,7 @@ from .outer import SpiralParams
 __all__ = [
     "SpiralParams", "RadialProfile", "WavenumberReport",
     "system_residual", "lambda_omega_residual", "cgl_lambda_omega",
-    "integrate_from_origin", "outer_mismatch", "solve_spiral",
+    "integrate_from_origin", "solve_spiral",
     "wavenumber_sweep",
 ]
 
@@ -222,23 +222,6 @@ def integrate_from_origin(params, c_f_guess, r_max):
                          escaped=escaped, escape_radius=r_esc)
 
 
-def outer_mismatch(f_end, v_end, params, r_max):
-    """How far the profile's endpoint sits from the far-field dominants.
-
-    Raises when k|q| r_max is outside the window where the decaying
-    branch is validated (below the oscillation floor, or far past the
-    checked range).
-    """
-    R = params.eps * r_max
-    floor = outer.validity_floor(params.nu)
-    if not (floor <= R <= 1e3):
-        raise ValueError(
-            f"matching radius R={R:.4g} outside validated window "
-            f"[{floor:.4g}, 1e3] for nu={params.nu:.4g}")
-    _, _, f_o, v_o = outer.far_field(params.n, params.q, params.k, R)
-    return float(f_end - f_o), float(v_end - v_o)
-
-
 def _collocation_solve(n, q, k0, c0, r_max, tol):
     sgn = 1.0 if q > 0 else -1.0
 
@@ -352,7 +335,8 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     Twists whose matching radius exceeds the domain budget MAX_DOMAIN are
     refused before any solve, with the radius they need spelled out.  The
     outer boundary condition is outer.far_field itself, so a Newton
-    iterate outside its domain fails the solve with its reason.
+    iterate outside its domain fails the solve with its reason, and the
+    report's boundary residuals are the endpoint's distance from it.
     """
     if q == 0.0:
         return _q0_solve(n)
@@ -394,18 +378,15 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
                 f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
         c0, k0 = float(sol.p[0]), k
 
-    k = float(np.exp(sol.p[1]))
     profile = _profile_from_collocation(n, q, sol)
     params = SpiralParams(n=n, q=q, k=k)
-    try:
-        m_f, m_v = outer_mismatch(profile.f[-1], profile.v[-1], params,
-                                  profile.r_max)
-    except ValueError:
-        m_f, m_v = math.nan, math.nan
+    _, _, f_o, v_o = outer.far_field(n, q, k, params.eps * profile.r_max)
     ratio = k / ka.value if ka.value > 0 else math.inf
     report = WavenumberReport(
         n=n, q=q, k_numeric=k, k_asymptotic=ka.value, ratio=ratio,
-        boundary_residuals=(m_f, m_v), newton_iterations=int(sol.niter),
+        boundary_residuals=(float(profile.f[-1] - f_o),
+                            float(profile.v[-1] - v_o)),
+        newton_iterations=int(sol.niter),
         residual=float(np.max(sol.rms_residuals)), r_max=profile.r_max,
         mu=params.mu, c_f=profile.c_f)
     _check_properties(profile, report)

@@ -48,7 +48,7 @@ EULER_GAMMA = specfun.EULER_GAMMA_F
 
 __all__ = [
     "EULER_GAMMA", "SelectedWavenumber", "MatchingGeometry",
-    "tail_const_for", "matching_constant", "mu_bar", "mu_bracket",
+    "matching_constant", "mu_bar", "mu_bracket",
     "kappa_asym", "matching_geometry", "leading_matching_residual",
     "solve_matching_mu",
 ]
@@ -67,21 +67,14 @@ def _check_nq(n, q):
 
 
 @lru_cache(maxsize=8)
-def tail_const_for(n):
-    """Raw tail constant of the n-armed core moment, solved on demand."""
-    return core.tail_constant(core.solve_profile(int(n))).value
-
-
-def matching_constant(n, tail_const=None):
+def matching_constant(n):
     """Constant entering the exponential prefactor of kappa(q).
 
-    Equal to minus the raw tail constant of the core moment; see the
-    module docstring for why the orientation matters and how it is
-    confirmed numerically.
+    Equal to minus the raw tail constant of the core moment, solved on
+    demand; see the module docstring for why the orientation matters and
+    how it is confirmed numerically.
     """
-    if tail_const is None:
-        tail_const = tail_const_for(n)
-    return -tail_const
+    return -core.tail_constant(core.solve_profile(int(n))).value
 
 
 def mu_bar(n, cn=None):

@@ -99,9 +99,11 @@ def test_zero_order_limit_matches_integer_ratio():
 def test_refusal_below_floor_and_override():
     nu = 0.3
     low = 0.5 * outer.validity_floor(nu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oscillation floor") as exc:
         outer.decay_slope(nu, low)
-    V, dV = outer.decay_slope(nu, low, allow_oscillatory=True)
+    assert "allow_oscillatory" not in str(exc.value)
+    # the ratio itself is still defined there, just not single-signed
+    V, dV = specfun.log_slope(nu, low)
     assert math.isfinite(V) and math.isfinite(dV)
 
 
@@ -119,23 +121,14 @@ def test_params_properties_and_validation():
 
 
 def test_chirality_mirror():
-    plus = outer.SpiralParams(n=1, q=0.5, k=0.06)
-    minus = outer.SpiralParams(n=1, q=-0.5, k=0.06)
+    k = 0.06
     for r in (5.0, 40.0, 300.0):
-        assert outer.v_out(minus, r) == -outer.v_out(plus, r)
-    assert outer.v_out(plus, 40.0) < 0.0
-
-
-def test_log_radius_path():
-    p = outer.SpiralParams(n=1, q=0.4, k=0.05)
-    for r in (12.0, 95.0, 1e200):
-        direct = outer.v_out(p, r)
-        via_log = outer.v_out(p, log_r=math.log(r))
-        assert via_log == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        outer.v_out(p, 5.0, log_r=1.0)
-    with pytest.raises(ValueError):
-        outer.v_out(p)
+        R = k * 0.5 * r
+        plus = outer.far_field(1, 0.5, k, R)
+        minus = outer.far_field(1, -0.5, k, R)
+        assert minus[:3] == plus[:3]
+        assert minus[3] == -plus[3]
+    assert outer.far_field(1, 0.5, k, k * 0.5 * 40.0)[3] < 0.0
 
 
 def test_amplitude_limit_and_derivative():
@@ -143,27 +136,19 @@ def test_amplitude_limit_and_derivative():
     # approaches sqrt(1 - k^2) from below, at the k^2/R rate set by the
     # -1/(2R) tail of the slope
     limit = math.sqrt(1.0 - 0.01)
-    f7 = outer.f_out(p, 1e7)
+    f7 = outer.far_field(p.n, p.q, p.k, p.eps * 1e7)[2]
     assert f7 == pytest.approx(limit, rel=1e-7)
     assert f7 < limit
-    assert abs(outer.f_out(p, 1e9) - limit) < abs(f7 - limit)
-    R = 5.0
-    F0, dF0 = outer.amplitude_factor(p, R)
-    h = 1e-6
-    fd = (outer.amplitude_factor(p, R + h)[0]
-          - outer.amplitude_factor(p, R - h)[0]) / (2 * h)
-    assert dF0 == pytest.approx(fd, rel=1e-7)
-    assert 0.0 < F0 < 1.0
+    f9 = outer.far_field(p.n, p.q, p.k, p.eps * 1e9)[2]
+    assert abs(f9 - limit) < abs(f7 - limit)
+    assert 0.0 < outer.far_field(p.n, p.q, p.k, 5.0)[2] < 1.0
 
 
 def test_amplitude_refuses_core_region():
-    p = outer.SpiralParams(n=1, q=0.5, k=0.5)
+    # amplitude and phase gradient come from one far-field evaluation, so
+    # they share one refusal
     with pytest.raises(ValueError, match="radicand"):
-        outer.amplitude_factor(p, 0.2)
-    # the phase gradient shares the amplitude's domain: one far-field
-    # evaluation, one refusal
-    with pytest.raises(ValueError, match="radicand"):
-        outer.v_out(p, 0.2 / p.eps)
+        outer.far_field(1, 0.5, 0.5, 0.2)
 
 
 @settings(max_examples=25, deadline=None)

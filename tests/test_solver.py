@@ -52,12 +52,13 @@ def test_boundary_mismatch_small(base):
 
 
 def test_outer_mismatch_op_consistency(base):
+    # the report's residuals are the endpoint's distance from the far field
+    # at the matching radius
     prof, rep = base
-    params = solver.SpiralParams(1, 0.5, rep.k_numeric)
-    m = solver.outer_mismatch(prof.f[-1], prof.v[-1], params, prof.r_max)
-    assert m == rep.boundary_residuals
-    with pytest.raises(ValueError, match="window"):
-        solver.outer_mismatch(0.9, -0.1, params, 1e-3)
+    p = solver.SpiralParams(1, 0.5, rep.k_numeric)
+    _, _, F0, v = outer.far_field(p.n, p.q, p.k, p.eps * prof.r_max)
+    assert rep.boundary_residuals == (float(prof.f[-1] - F0),
+                                      float(prof.v[-1] - v))
 
 
 def test_prefactor_and_ratio_consistent(base):
@@ -108,9 +109,20 @@ def test_profile_freezes_past_r_max(base):
 @pytest.mark.parametrize("r_max", [1.0, 1.5])
 def test_matching_radius_below_oscillation_floor_fails(r_max):
     # k|q| r_max lands below the far field's oscillation floor: the solve
-    # fails with the far field's reason instead of reporting a wrong k
-    with pytest.raises(RuntimeError, match="oscillation floor"):
+    # fails with the far field's reason instead of reporting a wrong k, and
+    # offers no override that solve_spiral does not have
+    with pytest.raises(RuntimeError, match="oscillation floor") as exc:
         solver.solve_spiral(1, 0.5, r_max=r_max)
+    assert "allow_oscillatory" not in str(exc.value)
+
+
+def test_explicit_r_max_past_matching_window_reports_residuals():
+    # k|q| r_max ~ 1.4e3 lies far past R_MATCH_WINDOW; the endpoint is
+    # still checked against the far field, not reported as NaN
+    _, rep = solver.solve_spiral(1, 0.5, r_max=30000.0)
+    assert rep.status == 0
+    for m in rep.boundary_residuals:
+        assert math.isfinite(m) and abs(m) <= 1e-6
 
 
 def test_sweep_wavenumber_decreasing(sweep):

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cglspiral import core
 from cglspiral import wavenumber as wn
 
 # Raw tail constants solved independently at high resolution (collocation
@@ -21,13 +22,14 @@ GAMMA = 0.57721566490153286061
 
 
 def test_tail_const_on_demand_matches_frozen():
-    assert wn.tail_const_for(1) == pytest.approx(T_FROZEN[1], abs=2e-8)
+    assert wn.matching_constant(1) == pytest.approx(-T_FROZEN[1], abs=2e-8)
 
 
 def test_matching_constant_is_minus_tail():
     for n in (1, 2, 3):
-        assert wn.matching_constant(n, tail_const=T_FROZEN[n]) == -T_FROZEN[n]
-        assert wn.matching_constant(n, tail_const=T_FROZEN[n]) > 0.0
+        tail = core.tail_constant(core.solve_profile(n)).value
+        assert wn.matching_constant(n) == -tail
+        assert wn.matching_constant(n) == pytest.approx(-T_FROZEN[n], abs=2e-8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
