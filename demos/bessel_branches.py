@@ -1,27 +1,29 @@
-"""Walk K_{i nu} across its evaluation branches.
+"""Walk K_{i nu} from small to large argument against its oracle.
 
-The imaginary-order modified Bessel function is evaluated three ways:
-an ascending series for small argument, a large-argument expansion, and
-an integral-representation quadrature used as the reference.  This
-script scans across the handover point and prints the relative gap of
-each fast branch against the quadrature.
+The imaginary-order modified Bessel function comes from one trapezoid sum
+of its integral representation at every argument; scipy's adaptive
+quadrature of the same integral is the reference.  This script scans
+both sides of x = 10, from the sign floor up, and prints the relative gap
+of value and slope at orders nu = n|q| up to 3.
 """
 
 import numpy as np
 
 from cglspiral import specfun
 
-nu = 0.1
-print(f"K_(i {nu})(x): branch vs quadrature reference")
-print(f"{'x':>8}  {'value':>16}  {'branch':>11}  {'rel gap':>10}")
-for x in np.geomspace(0.02, 60.0, 14):
-    x = float(x)
-    ref = specfun.k_imag(nu, x, method="quadrature")
-    ev = specfun.k_imag(nu, x)
-    gap = abs(ev.value / ref.value - 1.0) if ref.value != 0 else float("nan")
-    print(f"{x:8.3f}  {ev.value:16.8e}  {ev.method:>11}  {gap:10.2e}")
+for nu in (0.1, 3.0):
+    print(f"K_(i {nu})(x): trapezoid vs quadrature reference")
+    print(f"{'x':>8}  {'value':>16}  {'rel gap':>10}  {'slope gap':>10}")
+    for x in np.geomspace(max(0.02, specfun.sign_validity_floor(nu)),
+                          60.0, 10):
+        x = float(x)
+        ref = specfun.k_imag(nu, x, method="quadrature")
+        ev = specfun.k_imag(nu, x)
+        gap = abs(ev.value / ref.value - 1.0)
+        slope_gap = abs(ev.derivative / ref.derivative - 1.0)
+        print(f"{x:8.3f}  {ev.value:16.8e}  {gap:10.2e}  {slope_gap:10.2e}")
+    print()
 
-print()
 print("small-argument oscillation: K_(i nu) flips sign deep below the floor")
 floor = specfun.sign_validity_floor(0.3)
 print(f"  sign validity floor for nu=0.3: {floor:.3e}")

@@ -8,7 +8,7 @@ computations rest on.
 Module map
 ----------
 specfun
-    K_{i nu} by series, large-argument expansion and quadrature oracle;
+    K_{i nu} by a trapezoid sum of its integral, with a quadrature oracle;
     integer-order I_n/K_n in log scale; arg Gamma(1 + k + i nu).
 outer
     The far-field branch: decaying logarithmic-derivative slope V0, its

@@ -15,11 +15,13 @@ phase gradient and amplitude follow as
 K_{i nu} oscillates for very small argument, so the slope only has its
 single-signed meaning above a floor ~ 2 e^{-pi/(2 nu)}; calls below it are
 refused.  Above the slightly higher floor 2 e^2 e^{-pi/(2 nu)} the slope is
-provably negative and increasing, which is what the scan here measures.
+negative; it is also increasing there for nu below about 1.88, but not for
+larger orders, where V0' dips below zero just above that floor.  The scan
+here measures both.
 
-Ratios K'/K and K''/K are formed scale-free in the large-argument branch
-(the e^{-R} envelope cancels analytically), so slopes remain finite far
-past the argument where K itself underflows float64.
+The slope and its derivative come scale-free from specfun.log_slope (the
+e^{-R} envelope stays out analytically), so they remain finite far past
+the argument where K itself underflows float64.
 """
 
 import math
@@ -77,8 +79,7 @@ class SpiralParams:
 def decay_slope(nu, R):
     """(V0, V0') of the decaying branch at stretched radius R.
 
-    The derivative comes from the independently summed second derivative
-    (series branch) or the scale-free expansion ratios (large argument),
+    The derivative comes from the variance of specfun's trapezoid sum,
     never from the Riccati equation itself, so residual tests against that
     equation stay meaningful.
 
@@ -131,13 +132,15 @@ def slope_cotangent(nu, R):
 
 
 def property_scan(nu, R_max=1000.0, points=200):
-    """Measure the slope's guaranteed shape on its certified window.
+    """Measure the slope's shape on [sign floor, R_max].
 
-    Scans [sign floor, R_max], starting no lower than the float64 limit
-    specfun.X_MIN (which the sign floor undercuts for nu below ~0.0045):
-    the worst Riccati residual (with the independent second derivative),
-    the sign and monotonicity margins, and the fitted constant of the far
-    law |V0 + 1 + 1/(2R)| <= c / R^2.
+    The window starts no lower than the float64 limit specfun.X_MIN (which
+    the sign floor undercuts for nu below ~0.0045).  Reports the worst
+    Riccati residual (with the independent second derivative), the sign
+    and monotonicity margins, and the fitted constant of the far law
+    |V0 + 1 + 1/(2R)| <= c / R^2.  The sign margin is positive at every
+    order; the monotonicity margins are positive only for nu below about
+    1.88: at nu = 2 and 3, V0' is -8.4e-4 and -5.9e-3 at the sign floor.
     """
     grid = np.geomspace(max(specfun.sign_validity_floor(nu), specfun.X_MIN),
                        R_max, points)

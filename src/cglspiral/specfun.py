@@ -1,35 +1,27 @@
 """Modified Bessel functions of purely imaginary order, and friends.
 
-The workhorse is K_{i nu}(x) for small order magnitude nu, needed by the
-far-field description of rotating spiral solutions.  Three independent
-representations are implemented and cross-checked:
+The workhorse is K_{i nu}(x), needed by the far-field description of
+rotating spiral solutions.  It comes from one trapezoid sum of the integral
+representation
 
-* an ascending series in real form,
+    e^x K_{i nu}(x) = int_0^inf exp(-x s(t)) cos(nu t) dt,
+    s(t) = cosh t - 1 = 2 sinh^2(t/2),
 
-      K_{i nu}(x) = -(1/nu) sqrt(nu pi / sinh(nu pi))
-                    * sum_k (x^2/4)^k sin(nu log(x/2) - theta_k) / (k! P_k),
+whose integrand is analytic in a strip about the real axis, so the rule
+converges exponentially in the step (Trefethen & Weideman, SIAM Rev. 56,
+2014; quadrature of integral representations is one of the routes of Gil,
+Segura & Temme, ACM TOMS 30, 2004).  The step h = min(0.1, 0.7/sqrt(x))
+resolves both cos(nu t) and the integrand's width 1/sqrt(x) at large x,
+and the sum stops where x s(t) = 40.  The envelope e^{-x} stays out
+analytically, and so do the derivatives: under the signed weight
+exp(-x s) cos(nu t),
 
-  with P_k = sqrt((1+nu^2)(4+nu^2)...(k^2+nu^2)) and
-  theta_k = arg Gamma(1+k+i nu);
+    K'/K = -1 - E[s],        (K'/K)' = Var s,
 
-* the large-argument expansion sqrt(pi/(2x)) e^{-x} (1 + a_1/x + ...) with
-  a_j built from mu_hat = (2 i nu)^2 = -4 nu^2;
-
-* the integral representation int_0^inf exp(-x cosh t) cos(nu t) dt, kept as
-  a cross-validation oracle rather than a hot path.
-
-The series runs below the fixed handover X_SPLIT = 10 and the expansion
-from it on.  Near the handover the series suffers cancellation of order
-e^{2x} (about 5e8 at x = 10), far beyond what compensated float64 summation
-can absorb, so the series core runs in double-double arithmetic
-(:mod:`.ddarith`).  The oscillating factors sin/cos(A_k)/P_k are advanced by
-exact rational rotations
-
-    u_k = (k u_{k-1} - nu v_{k-1}) / (k^2 + nu^2),
-    v_k = (k v_{k-1} + nu u_{k-1}) / (k^2 + nu^2),
-
-so no transcendental is evaluated per term; only the initial angle
-A_0 = nu log(x/2) - theta_0 needs dd-accurate log, arg-Gamma and sin/cos.
+so the log-slope and its derivative are scale-free, finite where K itself
+underflows float64, and free of the cancellation in K''/K - (K'/K)^2.
+Scipy's adaptive quadrature of the same integral is kept as the
+cross-validation oracle.
 
 Integer-order I_n/K_n are thin wrappers over scipy's exponentially scaled
 routines with recurrence derivatives, carrying log-magnitude forms so the
@@ -39,60 +31,16 @@ Wronskian remains checkable at arguments where I_n overflows.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive, kve, loggamma
 
-from .ddarith import (
-    EULER_GAMMA,
-    PI,
-    ZETA_ODD_MINUS_1,
-    dd,
-    dd_add,
-    dd_atan,
-    dd_div,
-    dd_div_d,
-    dd_log,
-    dd_mul,
-    dd_mul_d,
-    dd_neg,
-    dd_sincos,
-    dd_sinh,
-    dd_sqrt,
-    dd_sub,
-    to_float,
-)
-
-# handover from the ascending series (x < X_SPLIT) to the large-argument
-# expansion; both agree to 1e-9 relative there for nu <= 0.5
-X_SPLIT = 10.0
-# term cap of the ascending series
-SERIES_TERMS = 200
-# term cap of the divergent large-argument sums, which also stop at
-# their smallest term
-ASYM_TERMS = 60
 UNDERFLOW_WALL = 745.0  # exp(-746) is zero in float64
-# smallest argument the series holds in float64 at every order: below it
-# K'' ~ 1/x^2 overflows (from x ~ 6e-151 to 3e-151, by order) and x*x
-# underflows (from x ~ 1.5e-162)
+# smallest argument held in float64 at every order: below it s^2 ~ 1/x^2
+# and the slope's derivative (K'/K)' overflow
 X_MIN = 1e-150
-# K_{i nu} is even in nu, so evaluating orders below this floor at the
-# floor moves K by O((nu log x)^2), below 1e-35 relative for x > 1e-150
-_NU_FLOOR = 1e-20
 
 EULER_GAMMA_F = 0.57721566490153286061
-
-
-class SeriesDivergenceError(RuntimeError):
-    """Raised when the ascending series fails to converge in budget."""
-
-    def __init__(self, nu, x, max_terms):
-        self.nu = nu
-        self.x = x
-        self.max_terms = max_terms
-        super().__init__(
-            f"imaginary-order series did not converge within {max_terms} "
-            f"terms at nu={nu!r}, x={x!r}"
-        )
 
 
 class QuadratureError(RuntimeError):
@@ -117,7 +65,6 @@ class ImagOrderEval:
     value: float
     derivative: float
     method: str
-    err_estimate: float = 0.0
 
     def second_derivative_ode(self):
         """K'' composed from the defining equation (not an independent sum)."""
@@ -146,161 +93,32 @@ def sign_validity_floor(nu):
     return 2.0 * math.exp(2.0 - math.pi / (2.0 * nu))
 
 
-def _theta0_dd(nu):
-    """arg Gamma(1 + i nu) in dd for 0 <= nu <= ~1.05.
+def _moments(nu, x):
+    """(e^x K_{i nu}(x), E[s], Var s) by the trapezoid rule.
 
-    Uses the odd-zeta expansion
-    theta_0 = -gamma nu + (nu - atan nu)
-              + sum_{m>=1} (-1)^{m+1} (zeta(2m+1)-1) nu^{2m+1} / (2m+1),
-    absorbing the slowly convergent part of the zeta series into atan.
+    The mean and the variance, centred on the mean, are those of
+    s = cosh t - 1 under the signed weight exp(-x s) cos(nu t) on t >= 0.
     """
-    nud = dd(nu)
-    acc = dd_mul(dd_neg(EULER_GAMMA), nud)
-    acc = dd_add(acc, dd_sub(nud, dd_atan(nud)))
-    nu2 = dd_mul(nud, nud)
-    p = dd_mul(nud, nu2)  # nu^3
-    sign = 1.0
-    for m, zc in enumerate(ZETA_ODD_MINUS_1, start=1):
-        term = dd_mul_d(dd_div_d(dd_mul(zc, p), float(2 * m + 1)), sign)
-        acc = dd_add(acc, term)
-        p = dd_mul(p, nu2)
-        sign = -sign
-        if abs(term[0]) < 1e-37 * abs(acc[0]) + 1e-320:
-            break
-    return acc
-
-
-def _series_core(nu, x):
-    """dd summation of the series and its two term-wise derivatives.
-
-    Returns (K, K', K'', n_terms, cond) as floats, where cond is the
-    cancellation condition estimate sum|t_k| / |sum t_k| of the value sum.
-    Raises ValueError where float64 cannot hold the result: x*x
-    underflows below x ~ 1.5e-162, and K'' ~ 1/x^2 overflows (or its dd
-    split does) below x ~ 1e-150.
-    """
-    x2 = x * x
-    if x2 == 0.0:
-        raise _float64_limit(nu, x)
-    L = dd_log(x / 2.0)
-    A0 = dd_sub(dd_mul_d(L, nu), _theta0_dd(nu))
-    u, v = dd_sincos(A0)  # u_k = sin(A_k)/P_k, v_k = cos(A_k)/P_k
-    x2_4 = dd_mul_d(dd_mul_d(dd(x), x), 0.25)
-    w = dd(1.0)  # (x^2/4)^k / k!
-    nu2_dd = dd_mul(dd(nu), dd(nu))
-    S = dd(0.0)
-    S1 = dd(0.0)
-    S2 = dd(0.0)
-    abs_sum = 0.0
-    converged = False
-    n_terms = SERIES_TERMS
-    for k in range(SERIES_TERMS):
-        fk = float(k)
-        t = dd_mul(w, u)
-        S = dd_add(S, t)
-        abs_sum += abs(t[0])
-        S1 = dd_add(S1, dd_mul(w, dd_add(dd_mul_d(u, 2.0 * fk),
-                                         dd_mul_d(v, nu))))
-        w2 = dd_sub(dd(4.0 * fk * fk - 2.0 * fk), nu2_dd)
-        S2 = dd_add(S2, dd_mul(w, dd_add(dd_mul(u, w2),
-                                         dd_mul_d(dd_mul_d(v, 4.0 * fk - 1.0), nu))))
-        kk = fk + 1.0
-        denom = dd_add(dd(kk * kk), nu2_dd)
-        un = dd_div(dd_sub(dd_mul_d(u, kk), dd_mul_d(v, nu)), denom)
-        vn = dd_div(dd_add(dd_mul_d(v, kk), dd_mul_d(u, nu)), denom)
-        u, v = un, vn
-        w = dd_div_d(dd_mul(w, x2_4), kk)
-        tail = abs(w[0]) * math.hypot(u[0], v[0]) * (4.0 * kk * kk + 2.0)
-        if tail < 1e-35 * abs(S[0]) + 1e-320:
-            converged = True
-            n_terms = k + 1
-            break
-    if not converged:
-        raise SeriesDivergenceError(nu, x, SERIES_TERMS)
-    nupi = dd_mul_d(PI, nu)
-    pref = dd_neg(dd_div_d(dd_sqrt(dd_div(nupi, dd_sinh(nupi))), nu))
-    K = to_float(dd_mul(pref, S))
-    K1 = to_float(dd_div_d(dd_mul(pref, S1), x))
-    K2 = to_float(dd_div_d(dd_mul(pref, S2), x2))
-    if not (math.isfinite(K) and math.isfinite(K1) and math.isfinite(K2)):
-        raise _float64_limit(nu, x)
-    cond = abs_sum / abs(S[0]) if S[0] != 0.0 else math.inf
-    return K, K1, K2, n_terms, cond
-
-
-def _float64_limit(nu, x):
-    return ValueError(
-        f"K_{{i nu}} at nu={nu!r}, x={x!r} is beyond float64 range: below "
-        f"specfun.X_MIN = {X_MIN:g} the series' x*x underflows or "
-        "K'' ~ 1/x^2 overflows")
-
-
-def _series_triple(nu, x):
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got x={x!r}")
-    if nu < 0.0:
-        raise ValueError(f"order magnitude must be nonnegative, got nu={nu!r}")
-    return _series_core(max(nu, _NU_FLOOR), x)
-
-
-def _asym_sums(nu, x):
-    """The three asymptotic sums, each truncated at its own smallest term.
-
-    The expansion coefficients follow a_j = a_{j-1} (mu_hat - (2j-1)^2)/(8j)
-    with mu_hat = -4 nu^2; the series is divergent, so each sum stops right
-    before its terms start growing and the first omitted term is the error.
-    """
-    muhat = -4.0 * nu * nu
-    sums = [1.0, 0.0, 0.0]
-    # the last term looked at: the last one added while a sum runs, its
-    # first growing term once it has stopped
-    err = [math.inf] * 3
-    running = [True] * 3
-    a = 1.0
-    for j in range(1, ASYM_TERMS):
-        a *= (muhat - (2 * j - 1) ** 2) / (8.0 * j)
-        terms = (a * x ** (-j), -j * a * x ** (-j - 1),
-                 j * (j + 1) * a * x ** (-j - 2))
-        for i, t in enumerate(terms):
-            if running[i]:
-                if abs(t) >= err[i]:
-                    running[i] = False
-                else:
-                    sums[i] += t
-                err[i] = abs(t)
-        if not any(running):
-            break
-    S, Sp, Spp = sums
-    return S, Sp, Spp, max(err[0], err[1] / max(abs(Sp), 1.0), err[2])
-
-
-def asym_log_slope(nu, x):
-    """Large-argument log-slope (K'/K, (K'/K)') of K_{i nu}, scale-free.
-
-    K = sqrt(pi/(2x)) e^{-x} S with S the asymptotic sum, so
-    K'/K = -1 - 1/(2x) + S'/S: the e^{-x} envelope cancels analytically
-    and the slope stays finite where K itself underflows float64.
-    Returns (w, w', S, err) with err the sums' first omitted term.
-    """
-    S, Sp, Spp, err = _asym_sums(nu, x)
-    w = -1.0 - 1.0 / (2.0 * x) + Sp / S
-    wp = 1.0 / (2.0 * x * x) + Spp / S - (Sp / S) ** 2
-    return w, wp, S, err
-
-
-def _asym_triple(nu, x):
-    """Large-argument (K, K', K'', err); relative accuracy around 2e-10 at
-    x = 10 and machine precision beyond x ~ 17."""
-    if x < 2.0:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"argument must be positive and finite, got x={x!r}")
+    if not 0.0 <= nu < math.inf:
         raise ValueError(
-            f"large-argument branch called below its validity floor: x={x!r}"
-        )
-    w, wp, S, err = asym_log_slope(nu, x)
-    pref = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    K = pref * S
-    K1 = K * w
-    K2 = K * (w * w + wp)
-    return K, K1, K2, err
+            f"order magnitude must be nonnegative and finite, got nu={nu!r}")
+    if x < X_MIN:
+        raise ValueError(
+            f"K_{{i nu}} at nu={nu!r}, x={x!r} is beyond float64 range: below "
+            f"specfun.X_MIN = {X_MIN:g} the slope's derivative (K'/K)' ~ 1/x^2 "
+            "overflows")
+    h = min(0.1, 0.7 / math.sqrt(x))
+    # x s(T) = 40; the form acosh(1 + 40/x) rounds to T = 0 above x ~ 1e16
+    T = 2.0 * math.asinh(math.sqrt(20.0 / x))
+    t = h * np.arange(int(T / h) + 1)
+    s = 2.0 * np.sinh(0.5 * t) ** 2
+    w = np.exp(-x * s) * np.cos(nu * t)
+    w[0] *= 0.5
+    S = float(w.sum())
+    mean = float(w @ s) / S
+    return h * S, mean, float(w @ (s - mean) ** 2) / S
 
 
 def _cosh_quad(x, integrand):
@@ -334,96 +152,70 @@ def _quadrature_derivative(nu, x):
 
 
 def k_imag(nu, x, method=None):
-    """Evaluate K_{i nu}(x), dispatching on argument size.
+    """Evaluate K_{i nu}(x) and its x-derivative.
 
     Parameters
     ----------
     nu, x : float
         Order magnitude and positive argument.
     method : str or None
-        Force a branch: "series", "asymptotic" or "quadrature".  By default
-        the ascending series runs below :data:`X_SPLIT` and the
-        large-argument expansion from it on; the split was calibrated
-        against the quadrature oracle.
+        None for the trapezoid sum (recorded as "trapezoid"), or
+        "quadrature" for the adaptive oracle.
 
     Returns
     -------
     ImagOrderEval
     """
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got x={x!r}")
     if method is None:
-        method = "series" if x < X_SPLIT else "asymptotic"
-    if method == "series":
-        K, K1, _, n_terms, cond = _series_triple(nu, x)
-        err = max(cond * 1.3e-31, 2.3e-16)
-        return ImagOrderEval(x=x, nu=nu, value=K, derivative=K1,
-                             method="series", err_estimate=err)
-    if method == "asymptotic":
-        K, K1, _, err = _asym_triple(nu, x)
-        return ImagOrderEval(x=x, nu=nu, value=K, derivative=K1,
-                             method="asymptotic",
-                             err_estimate=max(err, 2.3e-16))
+        S, mean, _ = _moments(nu, x)
+        K = math.exp(-x) * S
+        return ImagOrderEval(x=x, nu=nu, value=K, derivative=K * (-1.0 - mean),
+                             method="trapezoid")
     if method == "quadrature":
         K = k_imag_quadrature(nu, x)
         K1 = _quadrature_derivative(nu, x)
         return ImagOrderEval(x=x, nu=nu, value=K, derivative=K1,
-                             method="quadrature", err_estimate=1e-12)
+                             method="quadrature")
     raise ValueError(f"unknown method {method!r}")
 
 
 def k_imag_triple(nu, x):
-    """(K, K', K'') with the second derivative from the same branch's sums.
+    """(K, K', K'') of K_{i nu} at x.
 
-    The second derivative here is summed term by term, independently of the
-    defining differential equation, so residual tests of that equation are
-    meaningful.  Contrast :meth:`ImagOrderEval.second_derivative_ode`.
+    The second derivative comes from the variance of s, independently of
+    the defining differential equation, so residual tests of that equation
+    are meaningful.  Contrast :meth:`ImagOrderEval.second_derivative_ode`.
     """
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got x={x!r}")
-    if x < X_SPLIT:
-        K, K1, K2, _, _ = _series_triple(nu, x)
-    else:
-        K, K1, K2, _ = _asym_triple(nu, x)
-    return K, K1, K2
+    S, mean, var = _moments(nu, x)
+    K = math.exp(-x) * S
+    w = -1.0 - mean
+    return K, K * w, K * (w * w + var)
 
 
 def log_slope(nu, x):
-    """(K'/K, (K'/K)') of K_{i nu} at x.
+    """(K'/K, (K'/K)') of K_{i nu} at x, as (-1 - E[s], Var s).
 
-    Below the split the ratios come from the triple, with the second
-    derivative summed independently of the differential equation; from
-    the split on they come scale-free from the asymptotic sums, so they
-    stay finite where K itself underflows float64.
+    Both are scale-free, so they stay finite where K itself underflows
+    float64, and the variance is centred, so the derivative keeps its
+    relative precision where K''/K and (K'/K)^2 nearly cancel.
     """
-    if x < X_SPLIT:
-        K, K1, K2 = k_imag_triple(nu, x)
-        if K == 0.0:
-            raise ZeroDivisionError(
-                f"K vanishes at x={x!r} (oscillatory regime)")
-        w = K1 / K
-        return w, K2 / K - w * w
-    return asym_log_slope(nu, x)[:2]
+    _, mean, var = _moments(nu, x)
+    return -1.0 - mean, var
 
 
 def sign_margins(nu, x):
     """Scale-free margins of the sign pattern (K > 0, K' < 0, K'' > 0).
 
     Returns a triple of floats, each positive exactly when the corresponding
-    inequality holds.  Below the branch split the evaluated triple is
-    normalized by its own magnitude; above it the manifestly positive
-    envelope sqrt(pi/(2x)) e^{-x} is divided out analytically, so the check
-    stays meaningful at arguments where K itself underflows float64
-    (e^{-x} vanishes beyond x ~ 745).
+    inequality holds.  The triple is formed from e^x K, so the check stays
+    meaningful at arguments where K itself underflows float64 (e^{-x}
+    vanishes beyond x ~ 745), and normalized by its own magnitude.
     """
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got x={x!r}")
-    if x < X_SPLIT:
-        K, K1, K2, _, _ = _series_triple(nu, x)
-        s = abs(K) + abs(K1) + abs(K2)
-        return K / s, -K1 / s, K2 / s
-    w, wp, S, _ = asym_log_slope(nu, x)
-    return S, -w, w * w + wp
+    S, mean, var = _moments(nu, x)
+    w = -1.0 - mean
+    K, K1, K2 = S, S * w, S * (w * w + var)
+    s = abs(K) + abs(K1) + abs(K2)
+    return K / s, -K1 / s, K2 / s
 
 
 def gamma_arg(k, nu):
@@ -442,15 +234,6 @@ def gamma_arg(k, nu):
         return GammaArg(k=0, nu=nu, theta=theta0)
     theta = theta0 + math.fsum(math.atan(nu / l) for l in range(1, int(k) + 1))
     return GammaArg(k=int(k), nu=nu, theta=theta)
-
-
-def theta0_series(nu):
-    """Small-order form of theta_{0,nu} used by the matching formulas.
-
-    Equals -gamma*nu plus an O(nu^3) odd-zeta tail; exposed separately so
-    callers can quantify the O(nu^2) bound of |theta_0 + gamma nu|.
-    """
-    return to_float(_theta0_dd(nu))
 
 
 @dataclass(frozen=True)

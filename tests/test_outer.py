@@ -26,6 +26,16 @@ def test_sign_and_monotonicity_margins():
         assert scan["slope_margin"] > 0.0, nu
 
 
+@pytest.mark.parametrize("nu", [2.0, 3.0])
+def test_sign_margin_at_large_order(nu):
+    # nu = n|q| reaches 2 and 3 at twists the solver accepts; the slope
+    # stays negative on the scanned window there (V0' itself does not stay
+    # positive: the scan's slope_margin is negative from nu ~ 1.88)
+    scan = outer.property_scan(nu)
+    assert scan["sign_margin"] > 0.0, nu
+    assert scan["riccati_worst"] <= 1e-8, nu
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.003])
 def test_scan_below_float64_limit_starts_at_x_min(nu):
     # the sign floor lies below specfun.X_MIN for these orders (5.9e-227

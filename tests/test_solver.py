@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -303,7 +304,21 @@ def test_spiral_params_validation():
     assert q.mu == pytest.approx(0.0936689780 * 0.5 * math.exp(math.pi), rel=1e-12)
 
 
-# Standing faults, pinned until the fixes of ROADMAP items 1 and 2 flip them.
+@pytest.mark.parametrize("n,q", [(2, 1.0), (1, 2.0)])
+def test_endpoint_slope_at_large_order(n, q):
+    # nu = n|q| = 2: the endpoint phase gradient v = sgn(q) k V0(k|q| r_max)
+    # carries the decaying slope of K_{2i}, checked against mpmath
+    prof, rep = solver.solve_spiral(n, q)
+    assert rep.status == 0
+    R = rep.k_numeric * abs(q) * rep.r_max
+    with mp.workdps(40):
+        V_ref = float(-mp.re(mp.besselk(1 + 1j * n * q, R))
+                      / mp.re(mp.besselk(1j * n * q, R)))
+    V_end = prof.v[-1] / (math.copysign(1.0, q) * rep.k_numeric)
+    assert V_end == pytest.approx(V_ref, rel=1e-9)
+
+
+# Standing faults, pinned until the fixes of ROADMAP items 1 and 3 flip them.
 
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: n = 3 solves always fail: solve_spiral(3, q) raises 'collocation "
@@ -314,8 +329,9 @@ def test_three_arm_solve_converges():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "FOUND: cold n = 2 solves blow up the collocation mesh on one sign of q: "
-    "13,272 nodes at q = +0.5 against 3,331 at -0.5"))
+    "FOUND: cold n = 2 solves take different meshes at +q and -q (3,392 "
+    "nodes at q = +0.5 against 3,350 at -0.5) and blow the mesh up on one "
+    "sign: 124,687 nodes at q = +0.3 against 3,706 at -0.3"))
 def test_mirror_twists_share_the_mesh():
     plus, _ = solver.solve_spiral(2, 0.5)
     minus, _ = solver.solve_spiral(2, -0.5)
