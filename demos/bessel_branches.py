@@ -3,8 +3,8 @@
 The imaginary-order modified Bessel function comes from one trapezoid sum
 of its integral representation at every argument; scipy's adaptive
 quadrature of the same integral is the reference.  This script scans
-both sides of x = 10, from the sign floor up, and prints the relative gap
-of value and slope at orders nu = n|q| up to 3.
+x from the sign floor up to 60 and prints the relative gap of value and
+slope at orders nu = n|q| up to 3.
 """
 
 import numpy as np

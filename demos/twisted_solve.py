@@ -2,8 +2,10 @@
 
 The amplitude f and phase slope v of an n-armed spiral satisfy a coupled
 system on (0, infinity) whose far field forces v -> -k for exactly one
-wavenumber k.  solve_spiral finds that k by Newton iteration on the
-far-field mismatch, each step re-solving the profile with collocation.
+wavenumber k.  solve_spiral finds the profile and k together: one
+collocation Newton solve carries the core slope c_f and log k as unknown
+parameters next to the profile, with the far field as its outer boundary
+condition.
 This script reports the full diagnostic record for n=1, q=0.5, checks
 the conserved first-integral identity on the returned mesh, and shows
 that flipping the sign of the twist just mirrors the phase.

@@ -67,11 +67,49 @@ def _note(args, message):
         sys.stdout.write(message + "\n")
 
 
+def _number(text):
+    """A finite float from an option, a config value or a report field.
+
+    nan and inf are refused: no command has a meaning for them, and JSON
+    cannot carry them.  As an argparse type the refusal exits 1 with usage.
+    """
+    try:
+        val = float(text)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
+
+
+def _number_or_auto(text):
+    # kept as the text given, so the manifest echoes the option verbatim
+    if text != "auto":
+        _number(text)
+    return text
+
+
+def _number_list(text):
+    vals = [_number(tok) for tok in text.split(",") if tok]
+    if not vals:
+        raise argparse.ArgumentTypeError("needs at least one twist")
+    return vals
+
+
 def _resolve(args, key, default):
-    """Layer a value: command line beats config file beats default."""
+    """Layer a value: command line beats config file beats default.
+
+    A config value for a numeric option passes the same finite-number
+    check as the flag.
+    """
     val = getattr(args, key, None)
     if val is None:
         val = args.config_values.get(key)
+        if val is not None and isinstance(default, float):
+            try:
+                val = _number(val)
+            except argparse.ArgumentTypeError as exc:
+                raise CliError(f"config {key}: {exc}") from None
     if val is None:
         val = default
     return val
@@ -80,17 +118,25 @@ def _resolve(args, key, default):
 def _parse_grid_spec(spec):
     parts = spec.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "lin"):
-        raise CliError(
+        raise argparse.ArgumentTypeError(
             f"grid spec {spec!r} must look like lo:hi:count or lo:hi:count:lin")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise CliError(f"bad grid spec {spec!r}: {exc}") from exc
+        lo, hi, count = _number(parts[0]), _number(parts[1]), int(parts[2])
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad grid spec {spec!r}: {exc}") from None
     if lo <= 0 or hi <= lo or count < 2:
-        raise CliError(f"grid spec {spec!r} needs 0 < lo < hi and count >= 2")
+        raise argparse.ArgumentTypeError(
+            f"grid spec {spec!r} needs 0 < lo < hi and count >= 2")
     if len(parts) == 4:
         return np.linspace(lo, hi, count)
     return np.geomspace(lo, hi, count)
+
+
+def _grid_spec(text):
+    # validated at parse time, kept as text for the manifest
+    _parse_grid_spec(text)
+    return text
 
 
 # ---------------------------------------------------------------- commands
@@ -112,7 +158,7 @@ def _cmd_bessel_eval(args):
             raise CliError(
                 "integer orders have a single evaluation path; --method "
                 "only applies to kind Kinu")
-        ev = specfun.bessel_integer(args.kind[0], int(args.n), args.x)
+        ev = specfun.bessel_integer(args.kind[0], args.n, args.x)
         doc = {"kind": args.kind, "n": ev.n, "x": ev.x, "value": ev.value,
                "derivative": ev.derivative, "method": "log-recurrence",
                "err_estimate": 1e-14,
@@ -126,7 +172,7 @@ def _cmd_bessel_eval(args):
 
 
 def _cmd_outer_eval(args):
-    params = outer.SpiralParams(n=int(args.n), q=args.q, k=args.k)
+    params = outer.SpiralParams(n=args.n, q=args.q, k=args.k)
     r = _parse_grid_spec(args.r_grid)
     R = params.eps * r
     V0, dV0, F0, v = (np.empty_like(R) for _ in range(4))
@@ -137,7 +183,7 @@ def _cmd_outer_eval(args):
     out = args.out_dir / _resolve(args, "out", "outer_eval.csv")
     field.write_csv(out, "r,R,V0,F0,v_out,f_out,riccati_residual",
                     [r, R, V0, F0, v, F0, resid])
-    config = {"n": int(args.n), "q": args.q, "k": args.k,
+    config = {"n": args.n, "q": args.q, "k": args.k,
               "r_grid": args.r_grid, "out": out.name}
     _write_manifest(args, "outer-eval", config, [out])
     _note(args, f"wrote {out}")
@@ -145,7 +191,7 @@ def _cmd_outer_eval(args):
 
 
 def _cmd_inner_solve(args):
-    n = int(args.n)
+    n = args.n
     r_max = _resolve(args, "r_max", 400.0)
     tol = _resolve(args, "tol", 1e-11)
     profile = core.solve_profile(n, r_max=r_max, tol=tol)
@@ -163,19 +209,10 @@ def _cmd_inner_solve(args):
     return 0
 
 
-def _resolve_cn(args, n):
-    if args.cn == "auto":
-        return wavenumber.matching_constant(n)
-    try:
-        return float(args.cn)
-    except ValueError as exc:
-        raise CliError(f"--cn must be a number or 'auto', got {args.cn!r}") \
-            from exc
-
-
 def _cmd_kappa(args):
-    n = int(args.n)
-    cn = _resolve_cn(args, n)
+    n = args.n
+    cn = wavenumber.matching_constant(n) if args.cn == "auto" \
+        else float(args.cn)
     kap = wavenumber.kappa_asym(n, args.q, cn=cn)
     doc = {"kappa": kap.value, "log_kappa": kap.log_value,
            "mu_bar": wavenumber.mu_bar(n, cn=cn), "underflowed": kap.underflowed}
@@ -211,11 +248,11 @@ def _report_doc(rep, profile, tol):
 
 
 def _cmd_solve(args):
-    n = int(args.n)
+    n = args.n
     tol = _resolve(args, "tol", 1e-10)
-    r_max = None if args.r_max in (None, "auto") else float(args.r_max)
+    r_max = None if args.r_max == "auto" else float(args.r_max)
     init = None
-    if args.k_init not in (None, "auto"):
+    if args.k_init != "auto":
         init = (core.solve_profile(n).c_f, float(args.k_init))
     profile, rep = solver.solve_spiral(n, args.q, init=init, tol=tol,
                                        r_max=r_max)
@@ -236,14 +273,9 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    n = int(args.n)
+    n = args.n
     tol = _resolve(args, "tol", 1e-10)
-    try:
-        q_list = [float(tok) for tok in args.q_list.split(",") if tok]
-    except ValueError as exc:
-        raise CliError(f"bad --q-list {args.q_list!r}: {exc}") from exc
-    if len(q_list) < 1:
-        raise CliError("--q-list needs at least one twist")
+    q_list = args.q_list
     reports = solver.wavenumber_sweep(n, q_list, tol=tol)
     rows = []
     failed = []
@@ -273,8 +305,9 @@ def _cmd_physical(args):
         try:
             with open(args.from_solve) as fh:
                 rep = json.load(fh)
-            q, k = rep["q"], rep["k_numeric"]
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            q, k = _number(rep["q"]), _number(rep["k_numeric"])
+        except (OSError, KeyError, json.JSONDecodeError,
+                argparse.ArgumentTypeError) as exc:
             raise CliError(f"cannot read solve report "
                            f"{args.from_solve!r}: {exc}") from exc
     else:
@@ -300,17 +333,19 @@ def _cmd_field(args):
     try:
         with open(args.solve_report) as fh:
             rep = json.load(fh)
-        n, q = int(rep["n"]), float(rep["q"])
-        k, c_f = float(rep["k_numeric"]), float(rep["c_f"])
-        rep_rmax, tol = float(rep["r_max"]), float(rep["tol"])
-    except (OSError, KeyError, json.JSONDecodeError, TypeError) as exc:
+        n, q = int(rep["n"]), _number(rep["q"])
+        k, c_f = _number(rep["k_numeric"]), _number(rep["c_f"])
+        rep_rmax, rep_tol = _number(rep["r_max"]), _number(rep["tol"])
+    except (OSError, KeyError, json.JSONDecodeError, TypeError,
+            argparse.ArgumentTypeError) as exc:
         raise CliError(f"cannot read solve report {args.solve_report!r}: "
                        f"{exc}") from exc
     if args.extent <= 0:
         raise CliError(f"--extent must be positive, got {args.extent!r}")
     # rebuild the profile from the report's warm start, enlarging the
     # domain when the requested window extends past the reported one
-    r_max = max(rep_rmax, float(args.extent))
+    r_max = max(rep_rmax, args.extent)
+    tol = _resolve(args, "tol", rep_tol)
     profile, rep2 = solver.solve_spiral(n, q, init=(c_f, k), tol=tol,
                                         r_max=r_max)
     table = field.theta_of_r(profile)
@@ -323,7 +358,8 @@ def _cmd_field(args):
     field.export(grid, out, fmt)
     config = {"solve_report": args.solve_report, "nx": args.nx,
               "ny": args.ny, "extent": args.extent, "t": args.t,
-              "chirality": args.chirality, "omega": omega, "out": out.name}
+              "chirality": args.chirality, "omega": omega, "tol": tol,
+              "out": out.name}
     _write_manifest(args, "field", config, [out])
     _note(args, f"wrote {out}")
     return 0
@@ -417,7 +453,7 @@ def _add_global_options(parser, suppress):
     parser.add_argument("--config", default=d,
                         help="JSON file with default option values; "
                              "explicit flags win")
-    parser.add_argument("--tol", type=float, default=d,
+    parser.add_argument("--tol", type=_number, default=d,
                         help="numerical tolerance for solver commands")
     parser.add_argument("--out-dir", dest="out_dir", default=d,
                         help="directory for output files and manifests "
@@ -441,18 +477,18 @@ def build_parser():
 
     p = sub.add_parser("bessel-eval", parents=[common], help="evaluate one modified Bessel value")
     p.add_argument("--kind", required=True, choices=("Kinu", "Kn", "In"))
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--n", type=float, default=None)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--nu", type=_number, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--x", type=_number, required=True)
     p.add_argument("--method", default="auto",
                    choices=("auto", "quad"))
     p.set_defaults(handler=_cmd_bessel_eval)
 
     p = sub.add_parser("outer-eval", parents=[common], help="tabulate the far-field branch")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--r-grid", required=True,
+    p.add_argument("--q", type=_number, required=True)
+    p.add_argument("--k", type=_number, required=True)
+    p.add_argument("--r-grid", type=_grid_spec, required=True,
                    help="radial grid as lo:hi:count (geometric) or "
                         "lo:hi:count:lin")
     p.add_argument("--out", default=None)
@@ -460,37 +496,40 @@ def build_parser():
 
     p = sub.add_parser("inner-solve", parents=[common], help="solve the untwisted core profile")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
+    p.add_argument("--r-max", dest="r_max", type=_number, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_inner_solve)
 
     p = sub.add_parser("kappa", parents=[common], help="selected-wavenumber asymptotics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--cn", default="auto",
+    p.add_argument("--q", type=_number, required=True)
+    p.add_argument("--cn", type=_number_or_auto, default="auto",
                    help="matching constant: a number, or 'auto' to compute "
                         "it from the core profile")
     p.set_defaults(handler=_cmd_kappa)
 
     p = sub.add_parser("solve", parents=[common], help="twisted profile and wavenumber solve")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--k-init", dest="k_init", default="auto")
-    p.add_argument("--r-max", dest="r_max", default="auto")
+    p.add_argument("--q", type=_number, required=True)
+    p.add_argument("--k-init", dest="k_init", type=_number_or_auto,
+                   default="auto")
+    p.add_argument("--r-max", dest="r_max", type=_number_or_auto,
+                   default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("sweep", parents=[common], help="descending-twist wavenumber sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q-list", dest="q_list", required=True,
+    p.add_argument("--q-list", dest="q_list", type=_number_list,
+                   required=True,
                    help="comma-separated strictly descending twists")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("physical", parents=[common], help="map reduced parameters to physical")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
+    p.add_argument("--alpha", type=_number, default=None)
+    p.add_argument("--q", type=_number, default=None)
+    p.add_argument("--k", type=_number, default=None)
     p.add_argument("--from-solve", dest="from_solve", default=None,
                    help="pull q and k from a solve report JSON")
     p.set_defaults(handler=_cmd_physical)
@@ -499,10 +538,10 @@ def build_parser():
     p.add_argument("--solve-report", dest="solve_report", required=True)
     p.add_argument("--nx", type=int, default=512)
     p.add_argument("--ny", type=int, default=512)
-    p.add_argument("--extent", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--extent", type=_number, required=True)
+    p.add_argument("--t", type=_number, default=0.0)
     p.add_argument("--chirality", type=int, default=1, choices=(1, -1))
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--omega", type=_number, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_field)
 

@@ -204,18 +204,17 @@ def expected_arm_spacing(n, k_star):
     return 2.0 * math.pi * n / abs(k_star)
 
 
-def measure_arm_spacing(grid, r_min=None):
+def measure_arm_spacing(grid):
     """Trace crest crossings of Re A along the +x ray and average their gaps.
 
     Local maxima of the sampled real part are refined by a parabolic fit
     through the three nearest samples; crossings closer to the core than
-    ``r_min`` (default extent/2, where the phase gradient still differs
-    visibly from its limit) are discarded.  Adjacent crossings on a ray
-    are one winding apart per arm, so the arm spacing of the n-armed
-    pattern is n times the mean crossing gap.
+    extent/2, where the phase gradient still differs visibly from its
+    limit, are discarded.  Adjacent crossings on a ray are one winding
+    apart per arm, so the arm spacing of the n-armed pattern is n times
+    the mean crossing gap.
     """
-    if r_min is None:
-        r_min = 0.5 * grid.extent
+    r_cut = 0.5 * grid.extent
     iy = int(np.argmin(np.abs(grid.y)))
     y0 = float(grid.y[iy])
     pos = grid.x > 0.0
@@ -224,19 +223,16 @@ def measure_arm_spacing(grid, r_min=None):
     if xs.size < 5:
         raise ValueError("grid too coarse to trace crest crossings")
     j = np.where((re[1:-1] > re[:-2]) & (re[1:-1] >= re[2:]))[0] + 1
-    dx = xs[1] - xs[0]
-    peaks = []
-    for idx in j:
-        y_lo, y_md, y_hi = re[idx - 1], re[idx], re[idx + 1]
-        den = y_lo - 2.0 * y_md + y_hi
-        off = 0.5 * (y_lo - y_hi) / den if den != 0.0 else 0.0
-        peaks.append(xs[idx] + off * dx)
-    radii = np.hypot(np.array(peaks), y0)
-    radii = radii[radii >= r_min]
+    y_lo, y_md, y_hi = re[j - 1], re[j], re[j + 1]
+    den = y_lo - 2.0 * y_md + y_hi
+    off = np.divide(0.5 * (y_lo - y_hi), den, out=np.zeros_like(den),
+                    where=den != 0.0)
+    radii = np.hypot(xs[j] + off * (xs[1] - xs[0]), y0)
+    radii = radii[radii >= r_cut]
     if radii.size < 3:
         raise ValueError(
-            f"only {radii.size} crest crossings beyond r={r_min:.4g}: "
-            "enlarge the grid or lower r_min")
+            f"only {radii.size} crest crossings beyond r={r_cut:.4g}: "
+            "enlarge the grid")
     gaps = np.diff(radii)
     spacing = grid.n * float(np.mean(gaps))
     return ArmSpacing(arm_spacing=spacing, crossing_spacings=gaps,

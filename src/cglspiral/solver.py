@@ -332,8 +332,8 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     untwisted core slope and the asymptotic wavenumber seed the solve.
     The matching radius (unless given) targets k|q| r_max ~ 1.6 and is
     re-adapted if the converged k lands outside the validated window.
-    Twists whose matching radius exceeds the domain budget MAX_DOMAIN are
-    refused before any solve, with the radius they need spelled out.  The
+    A matching radius beyond the domain budget MAX_DOMAIN is refused
+    before the solve that would use it, with the radius spelled out.  The
     outer boundary condition is outer.far_field itself, so a Newton
     iterate outside its domain fails the solve with its reason, and the
     report's boundary residuals are the endpoint's distance from it.
@@ -353,31 +353,22 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
             f"twist q={q} is below the tractable window: the selected "
             f"wavenumber has log k = {ka.log_value:.1f}, far beyond "
             "double-precision dynamic range")
-    chosen_r_max = r_max
-    if chosen_r_max is None:
-        chosen_r_max = R_MATCH_TARGET / (k0 * abs(q))
-        if chosen_r_max > MAX_DOMAIN:
+    for _ in range(3):
+        # the matching radius for the current k; re-adapting it around a
+        # converged k starts a fresh mesh seeded with that (c_f, k)
+        r_match = R_MATCH_TARGET / (k0 * abs(q)) if r_max is None else r_max
+        if r_max is None and r_match > MAX_DOMAIN:
             raise ValueError(
-                f"twist q={q} needs a matching radius ~{chosen_r_max:.3g} "
-                f"(log k = {ka.log_value:.2f}), beyond the domain budget "
+                f"twist q={q} needs a matching radius ~{r_match:.3g} "
+                f"(log k = {math.log(k0):.2f}), beyond the domain budget "
                 f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
-
-    for attempt in range(3):
-        sol = _collocation_solve(n, q, k0, c0, chosen_r_max, tol)
-        k = float(np.exp(sol.p[1]))
-        R_actual = k * abs(q) * chosen_r_max
+        sol = _collocation_solve(n, q, k0, c0, r_match, tol)
+        c0, k0 = float(sol.p[0]), float(np.exp(sol.p[1]))
+        R_actual = k0 * abs(q) * r_match
         if r_max is not None or R_MATCH_WINDOW[0] <= R_actual <= R_MATCH_WINDOW[1]:
             break
-        # re-adapt the domain around the solved k: a fresh mesh, seeded
-        # with the converged (c_f, k)
-        chosen_r_max = R_MATCH_TARGET / (k * abs(q))
-        if chosen_r_max > MAX_DOMAIN:
-            raise ValueError(
-                f"twist q={q}: converged k={k:.4g} pushes the matching "
-                f"radius to {chosen_r_max:.3g}, beyond the domain budget "
-                f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
-        c0, k0 = float(sol.p[0]), k
 
+    k = k0
     profile = _profile_from_collocation(n, q, sol)
     params = SpiralParams(n=n, q=q, k=k)
     _, _, f_o, v_o = outer.far_field(n, q, k, params.eps * profile.r_max)

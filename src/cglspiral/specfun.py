@@ -219,21 +219,18 @@ def sign_margins(nu, x):
 
 
 def gamma_arg(k, nu):
-    """theta_{k, nu} = arg Gamma(1 + k + i nu).
+    """theta_{k, nu} = arg Gamma(1 + k + i nu), from the complex log-Gamma.
 
-    theta_0 comes from the complex log-Gamma; theta_k accumulates the exact
-    recurrence theta_k = theta_{k-1} + atan(nu/k) with compensated
-    summation.  Satisfies theta_{0,nu} = -gamma nu + O(nu^3).
+    The imaginary part of loggamma is the continuous branch of the
+    argument, so theta_k = theta_0 + sum_{l<=k} atan(nu/l) holds without
+    any 2 pi jumps.  Satisfies theta_{0,nu} = -gamma nu + O(nu^3).
     """
     if k < 0 or int(k) != k:
         raise ValueError(f"index must be a nonnegative integer, got {k!r}")
     if nu < 0.0:
         raise ValueError(f"order magnitude must be nonnegative, got nu={nu!r}")
-    theta0 = float(loggamma(1.0 + 1j * nu).imag)
-    if k == 0:
-        return GammaArg(k=0, nu=nu, theta=theta0)
-    theta = theta0 + math.fsum(math.atan(nu / l) for l in range(1, int(k) + 1))
-    return GammaArg(k=int(k), nu=nu, theta=theta)
+    k = int(k)
+    return GammaArg(k=k, nu=nu, theta=float(loggamma(1.0 + k + 1j * nu).imag))
 
 
 @dataclass(frozen=True)
@@ -243,30 +240,38 @@ class IntegerOrderEval:
     ``scaled_value``/``scaled_derivative`` carry e^{-x} I_n resp. e^{x} K_n
     (and their derivatives), which stay finite at arguments where the plain
     values overflow or underflow; identities whose scale factors cancel, the
-    Wronskian above all, should be checked through them.
+    Wronskian above all, should be checked through them.  The log-magnitude
+    and plain forms are derived from that pair.
     """
 
     kind: str
     n: int
     x: float
-    log_abs_value: float
-    value_sign: float
-    log_abs_derivative: float
-    derivative_sign: float
     scaled_value: float
     scaled_derivative: float
 
     @property
+    def _log_scale(self):
+        return self.x if self.kind == "I" else -self.x
+
+    @property
+    def log_abs_value(self):
+        return math.log(self.scaled_value) + self._log_scale
+
+    @property
+    def log_abs_derivative(self):
+        return math.log(abs(self.scaled_derivative)) + self._log_scale
+
+    @property
     def value(self):
-        if self.log_abs_value > 709.0:
-            return math.inf * self.value_sign
-        return self.value_sign * math.exp(self.log_abs_value)
+        log_v = self.log_abs_value
+        return math.inf if log_v > 709.0 else math.exp(log_v)
 
     @property
     def derivative(self):
-        if self.log_abs_derivative > 709.0:
-            return math.inf * self.derivative_sign
-        return self.derivative_sign * math.exp(self.log_abs_derivative)
+        log_d = self.log_abs_derivative
+        return math.copysign(math.inf if log_d > 709.0 else math.exp(log_d),
+                             self.scaled_derivative)
 
     @property
     def overflowed(self):
@@ -282,40 +287,27 @@ def bessel_integer(kind, n, x):
     n : int
         Nonnegative order.
     x : float
-        Positive argument.
+        Positive finite argument.
 
     Returns
     -------
     IntegerOrderEval
-        Carries log-magnitude plus sign so extreme arguments (where I_n
-        overflows float64) remain usable; the Wronskian
-        I' K - I K' = 1/x stays verifiable in log scale.
+        Carries the exponentially scaled pair, with log-magnitude forms,
+        so extreme arguments (where I_n overflows float64) remain usable;
+        the Wronskian I' K - I K' = 1/x stays verifiable in log scale.
     """
     if kind not in ("I", "K"):
         raise ValueError(f"kind must be 'I' or 'K', got {kind!r}")
     if n < 0 or int(n) != n:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got x={x!r}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"argument must be positive and finite, got x={x!r}")
     n = int(n)
-    if kind == "I":
-        # ive(n, x) = I_n(x) exp(-x); I_n' = (I_{n-1} + I_{n+1})/2
-        s = float(ive(n, x))
-        sm = float(ive(n - 1, x)) if n > 0 else float(ive(1, x))
-        sp = float(ive(n + 1, x))
-        der = 0.5 * (sm + sp)
-        return IntegerOrderEval(kind="I", n=n, x=x,
-                                log_abs_value=math.log(s) + x, value_sign=1.0,
-                                log_abs_derivative=math.log(der) + x,
-                                derivative_sign=1.0,
-                                scaled_value=s, scaled_derivative=der)
-    # kve(n, x) = K_n(x) exp(x); K_n' = -(K_{n-1} + K_{n+1})/2
-    s = float(kve(n, x))
-    sm = float(kve(abs(n - 1), x))
-    sp = float(kve(n + 1, x))
-    der = 0.5 * (sm + sp)
-    return IntegerOrderEval(kind="K", n=n, x=x,
-                            log_abs_value=math.log(s) - x, value_sign=1.0,
-                            log_abs_derivative=math.log(der) - x,
-                            derivative_sign=-1.0,
-                            scaled_value=s, scaled_derivative=-der)
+    # ive(n, x) = e^{-x} I_n(x), kve(n, x) = e^{x} K_n(x), and
+    # I_n' = (I_{n-1} + I_{n+1})/2, K_n' = -(K_{n-1} + K_{n+1})/2 with the
+    # order -1 neighbour of n = 0 equal to order 1 for both kinds
+    scaled, sign = (ive, 1.0) if kind == "I" else (kve, -1.0)
+    der = 0.5 * (float(scaled(abs(n - 1), x)) + float(scaled(n + 1, x)))
+    return IntegerOrderEval(kind=kind, n=n, x=x,
+                            scaled_value=float(scaled(n, x)),
+                            scaled_derivative=sign * der)

@@ -16,9 +16,15 @@ arm count n.  Two closely related constants appear:
 
 The sign flip is fixed by the leading matching condition: writing the
 phase gradient of the core solution for large r as
--q n^2 (1+k^2) log(r)/r + q C/r - q k^2 r/2 + ... requires C = -T_n,
-and the root of the leading matching residual then lands on
-mu = 2 exp(-C/n^2 - gamma).  Full rotating-solution solves confirm it:
+-q n^2 (1+k^2) log(r)/r + q C/r - q k^2 r/2 + ... requires C = -T_n.
+The leading matching residual C + n^2 log(mu/2) - n theta_0(nq)/q is
+linear in log mu, so its root is the closed form
+
+    mu = 2 exp(theta_0(nq)/(nq) - C/n^2),    theta_0 = arg Gamma(1 + i nu),
+
+at every twist, and since theta_0(nu) = -gamma nu + O(nu^3) it tends to
+mu = 2 exp(-C/n^2 - gamma) as q -> 0.  Full rotating-solution solves
+confirm the orientation:
 k q e^{pi/(2nq)} measured from the boundary-value problem converges to
 that value (and not to the one with the opposite sign) as q decreases.
 
@@ -40,15 +46,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
 from . import core, specfun
 
 EULER_GAMMA = specfun.EULER_GAMMA_F
 
 __all__ = [
     "EULER_GAMMA", "SelectedWavenumber", "MatchingGeometry",
-    "matching_constant", "mu_bar", "mu_bracket",
+    "matching_constant", "mu_bar",
     "kappa_asym", "matching_geometry", "leading_matching_residual",
     "solve_matching_mu",
 ]
@@ -59,6 +63,8 @@ _LOG_UNDERFLOW = -745.0
 def _check_nq(n, q):
     if n < 1 or int(n) != n:
         raise ValueError(f"arm count must be a positive integer, got {n!r}")
+    if not math.isfinite(q):
+        raise ValueError(f"twist must be a finite number, got q={q!r}")
     if q <= 0.0:
         raise ValueError(
             f"twist must be positive, got q={q!r}; the negative-twist "
@@ -82,12 +88,6 @@ def mu_bar(n, cn=None):
     if cn is None:
         cn = matching_constant(n)
     return 2.0 * math.exp(-cn / (n * n) - EULER_GAMMA)
-
-
-def mu_bracket(n, cn=None):
-    """Bracket (half, 3/2) of the predicted prefactor for root isolation."""
-    m = mu_bar(n, cn)
-    return 0.5 * m, 1.5 * m
 
 
 @dataclass(frozen=True)
@@ -145,17 +145,15 @@ class MatchingGeometry:
     alpha_measured: float
 
 
-def matching_geometry(n, q, mu=None, cn=None):
+def matching_geometry(n, q, cn=None):
     _check_nq(n, q)
     if q >= 1.0:
         raise ValueError(
             f"matching geometry is meaningful for twist below 1, got q={q!r}")
-    if mu is None:
-        mu = mu_bar(n, cn)
     rho = (q / abs(math.log(q))) ** (1.0 / 3.0)
     log_r0 = rho / q - 0.5 * math.log(2.0)
     r0 = math.exp(log_r0) if log_r0 < 709.0 else math.inf
-    log_eps = math.log(mu) - math.pi / (2.0 * n * q)
+    log_eps = math.log(mu_bar(n, cn)) - math.pi / (2.0 * n * q)
     alpha_design = 1.0 - 2.0 * n * rho / math.pi
     alpha_measured = 1.0 - log_r0 / (-log_eps)
     return MatchingGeometry(n=int(n), q=q, rho=rho, log_r0=log_r0, r0=r0,
@@ -180,16 +178,13 @@ def leading_matching_residual(n, q, mu, cn=None):
 
 
 def solve_matching_mu(n, q, cn=None):
-    """Root of the leading matching condition inside the standard bracket."""
+    """Root of the leading matching condition, 2 exp(theta_0(nq)/(nq) - C/n^2).
+
+    The residual of :func:`leading_matching_residual` is linear in
+    log mu, so the root is this closed form at every positive twist.
+    """
     _check_nq(n, q)
     if cn is None:
         cn = matching_constant(n)
-    lo, hi = mu_bracket(n, cn)
-    f = lambda m: leading_matching_residual(n, q, m, cn)
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0.0:
-        raise RuntimeError(
-            f"matching residual does not change sign on ({lo:.6g}, {hi:.6g}) "
-            f"at n={n}, q={q}: ends {flo:.3e}, {fhi:.3e}"
-        )
-    return brentq(f, lo, hi, xtol=1e-14, rtol=1e-14)
+    nu = n * q
+    return 2.0 * math.exp(specfun.gamma_arg(0, nu).theta / nu - cn / (n * n))

@@ -94,6 +94,13 @@ class TestBesselEval:
             specfun.bessel_integer("K", 1, 2.5).value, rel=1e-14)
         assert "log_abs_value" in doc
 
+    def test_integer_order_must_be_integer(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n",
+                           "1.5", "--x", "2", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "usage" in err and "--n" in err
+        assert out == ""
+
     def test_integer_kind_rejects_method(self, capsys, tmp_path):
         rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n", "1",
                            "--x", "2.5", "--method", "quad",
@@ -106,6 +113,26 @@ class TestBesselEval:
                            "1.0", "--out-dir", str(tmp_path))
         assert rc == 1
         assert "--nu" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("argv,flag", [
+    (["bessel-eval", "--kind", "In", "--n", "1", "--x", "{}"], "--x"),
+    (["kappa", "--n", "1", "--q", "{}"], "--q"),
+    (["physical", "--alpha", "{}", "--q", "0.2", "--k", "0.1"], "--alpha"),
+    (["solve", "--n", "1", "--q", "0.5", "--tol", "{}"], "--tol"),
+    (["solve", "--n", "1", "--q", "0.5", "--k-init", "{}"], "--k-init"),
+    (["sweep", "--n", "1", "--q-list", "0.5,{}"], "--q-list"),
+])
+def test_nonfinite_number_is_usage_error(capsys, tmp_path, argv, flag, bad):
+    # refused while parsing: no solve runs and no NaN reaches the JSON
+    rc, out, err = run(capsys, *[a.format(bad) for a in argv],
+                       "--out-dir", str(tmp_path))
+    assert rc == 1
+    assert "usage" in err
+    assert f"argument {flag}: '{bad}' is not a finite number" in err
+    assert out == ""
+    assert not list(tmp_path.iterdir())
 
 
 class TestOuterEval:
@@ -351,6 +378,21 @@ class TestFieldCommand:
         assert np.max(data[:, 4]) <= 1.0
         manifest = json.loads((tmp_path / "field_manifest.json").read_text())
         assert manifest["config"]["extent"] == 40.0
+
+    def test_tol_flag_is_honoured(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        argv = ["field", "--solve-report", str(tmp_path / "solve_report.json"),
+                "--nx", "9", "--ny", "9", "--extent", "20",
+                "--out-dir", str(tmp_path), "--quiet"]
+        manifest = tmp_path / "field_manifest.json"
+        rc, _, _ = run(capsys, *argv)
+        assert rc == 0
+        assert json.loads(manifest.read_text())["config"]["tol"] == 1e-10
+        rc, _, _ = run(capsys, *argv, "--tol", "1e-8")
+        assert rc == 0
+        assert json.loads(manifest.read_text())["config"]["tol"] == 1e-8
 
     def test_json_output_format(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",

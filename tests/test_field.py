@@ -224,6 +224,30 @@ class TestArmSpacing:
         assert np.all(np.abs(measured.crossing_spacings /
                              np.mean(measured.crossing_spacings) - 1) < 0.03)
 
+    def test_crest_refinement_matches_loop(self):
+        # the array form of the parabolic refinement against the per-peak
+        # loop it replaced, on a ray with one peak whose three samples
+        # round to a zero second difference (1 - 2^-53, 1, 1)
+        x = np.arange(-60.0, 61.0)
+        re = np.cos(2.0 * math.pi * x / 7.3)
+        re[[89, 90, 91]] = 1.0 - 2.0 ** -53, 1.0, 1.0
+        assert re[89] - 2.0 * re[90] + re[91] == 0.0
+        grid = types.SimpleNamespace(x=x, y=np.array([-1.0, 0.0, 1.0]),
+                                     values=np.vstack([re, re, re]) + 0j,
+                                     extent=60.0, n=1)
+        xs, ray = x[x > 0.0], re[x > 0.0]
+        peaks = []
+        for i in range(1, ray.size - 1):
+            if ray[i] > ray[i - 1] and ray[i] >= ray[i + 1]:
+                den = ray[i - 1] - 2.0 * ray[i] + ray[i + 1]
+                off = 0.5 * (ray[i - 1] - ray[i + 1]) / den if den != 0.0 \
+                    else 0.0
+                peaks.append(xs[i] + off * (xs[1] - xs[0]))
+        radii = np.array(peaks)
+        assert 30.0 in radii
+        measured = field.measure_arm_spacing(grid)
+        assert np.array_equal(measured.crest_radii, radii[radii >= 30.0])
+
     def test_too_few_crossings(self, default_solve):
         prof, _ = default_solve
         table = field.theta_of_r(prof)

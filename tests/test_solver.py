@@ -172,6 +172,12 @@ def test_refuses_twist_beyond_domain_budget():
             solver.solve_spiral(n, q)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_refuses_nonfinite_twist(q):
+    with pytest.raises(ValueError, match="twist must be a finite number"):
+        solver.solve_spiral(1, q)
+
+
 def test_init_validation():
     with pytest.raises(ValueError):
         solver.solve_spiral(1, 0.5, init=(0.5, 1.5))

@@ -268,6 +268,15 @@ def test_theta0_routes_agree():
         assert a == pytest.approx(b, abs=2e-14)
 
 
+def test_theta_k_matches_mpmath():
+    # one complex log-Gamma at every index, against mpmath's arg Gamma
+    for k in (1, 2, 7, 40):
+        for nu in (0.01, 0.5, 3.0):
+            ref = mp.im(mp.loggamma(1 + k + 1j * mp.mpf(nu)))
+            assert sf.gamma_arg(k, nu).theta == pytest.approx(float(ref),
+                                                              rel=1e-15)
+
+
 # ---------------- integer order ----------------
 
 def test_wronskian_moderate():
@@ -336,6 +345,11 @@ def test_integer_domain_errors():
         sf.bessel_integer("I", -1, 1.0)
     with pytest.raises(ValueError):
         sf.bessel_integer("K", 0, -1.0)
+    for kind in ("I", "K"):
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="argument must be positive "
+                                                 "and finite"):
+                sf.bessel_integer(kind, 1, x)
 
 
 def test_negative_order_refused():

@@ -93,15 +93,6 @@ def test_prefactor_recovered_from_kappa():
         assert s.mu == pytest.approx(wn.mu_bar(n, CN[n]), rel=1e-15)
 
 
-def test_bracket_straddles_root_and_prediction():
-    n, q = 1, 0.05
-    lo, hi = wn.mu_bracket(n, CN[n])
-    assert lo < wn.mu_bar(n, CN[n]) < hi
-    flo = wn.leading_matching_residual(n, q, lo, CN[n])
-    fhi = wn.leading_matching_residual(n, q, hi, CN[n])
-    assert flo < 0.0 < fhi
-
-
 def test_matching_root_approaches_prediction_quadratically():
     n = 1
     mu0 = wn.mu_bar(n, CN[n])
@@ -112,21 +103,36 @@ def test_matching_root_approaches_prediction_quadratically():
     assert rel_fine < 0.1 * rel_coarse
 
 
-@pytest.mark.parametrize("n,q", [(1, 0.05), (2, 0.04), (3, 0.03)])
+@pytest.mark.parametrize("n,q", [(1, 0.05), (2, 0.04), (3, 0.03), (3, 0.5),
+                                 (2, 0.7), (1, 1.5)])
 def test_matching_root_closed_form(n, q):
-    # the leading condition is solvable in closed form; the bracketed
-    # root finder must land on the same point
-    from cglspiral import specfun
-    theta0 = specfun.gamma_arg(0, n * q).theta
-    closed = 2.0 * math.exp(theta0 / (n * q) - CN[n] / n ** 2)
+    # the closed-form root zeroes the residual at every twist kappa_asym
+    # accepts, including nq above 4/3, where it lies more than a factor 3/2
+    # from mu_bar
     root = wn.solve_matching_mu(n, q, CN[n])
-    assert root == pytest.approx(closed, rel=1e-12)
-    resid = wn.leading_matching_residual(n, q, root, CN[n])
-    assert abs(resid) < 1e-12
+    assert abs(wn.leading_matching_residual(n, q, root, CN[n])) < 1e-12
+
+
+def test_matching_root_value_at_large_order():
+    assert wn.solve_matching_mu(3, 0.5, CN[3]) == pytest.approx(
+        0.3893234056872, rel=1e-12)
+
+
+def test_matching_root_against_mpmath():
+    # theta_0 = arg Gamma(1 + i nu) from mpmath, the residual's root at 30
+    # digits: log(mu/2) = theta_0/(nq) - C/n^2.  A root finder stopping at
+    # xtol = 1e-14 misses it by 1.6e-15 relative at (2, 0.4)
+    with mp.workdps(30):
+        for n, q in [(1, 0.05), (1, 0.7), (2, 0.3), (2, 0.4), (3, 0.5)]:
+            nu = mp.mpf(n) * mp.mpf(q)
+            theta0 = mp.im(mp.loggamma(1 + 1j * nu))
+            ref = 2 * mp.exp(theta0 / nu - mp.mpf(CN[n]) / n ** 2)
+            assert wn.solve_matching_mu(n, q, CN[n]) == pytest.approx(
+                float(ref), rel=1e-15)
 
 
 def test_geometry_values():
-    g = wn.matching_geometry(1, 0.05, mu=wn.mu_bar(1, CN[1]))
+    g = wn.matching_geometry(1, 0.05, cn=CN[1])
     rho = (0.05 / abs(math.log(0.05))) ** (1.0 / 3.0)
     assert g.rho == pytest.approx(rho, rel=1e-14)
     assert g.log_r0 == pytest.approx(rho / 0.05 - 0.5 * math.log(2.0), rel=1e-14)
@@ -134,17 +140,16 @@ def test_geometry_values():
 
 
 def test_geometry_exponents_converge():
-    mu = wn.mu_bar(1, CN[1])
-    d_coarse = abs(wn.matching_geometry(1, 0.05, mu=mu).alpha_measured
-                   - wn.matching_geometry(1, 0.05, mu=mu).alpha_design)
-    d_fine = abs(wn.matching_geometry(1, 0.005, mu=mu).alpha_measured
-                 - wn.matching_geometry(1, 0.005, mu=mu).alpha_design)
+    d_coarse = abs(wn.matching_geometry(1, 0.05, cn=CN[1]).alpha_measured
+                   - wn.matching_geometry(1, 0.05, cn=CN[1]).alpha_design)
+    d_fine = abs(wn.matching_geometry(1, 0.005, cn=CN[1]).alpha_measured
+                 - wn.matching_geometry(1, 0.005, cn=CN[1]).alpha_design)
     assert d_coarse < 0.02
     assert d_fine < d_coarse / 5.0
 
 
 def test_geometry_radius_overflow_keeps_log():
-    g = wn.matching_geometry(1, 1e-6, mu=wn.mu_bar(1, CN[1]))
+    g = wn.matching_geometry(1, 1e-6, cn=CN[1])
     assert math.isinf(g.r0)
     assert math.isfinite(g.log_r0)
 
@@ -159,9 +164,12 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         wn.kappa_asym(1.5, 0.5, cn=0.0)
     with pytest.raises(ValueError):
-        wn.matching_geometry(1, 1.0, mu=1.0)
+        wn.matching_geometry(1, 1.0, cn=CN[1])
     with pytest.raises(ValueError):
         wn.leading_matching_residual(1, 0.5, -1.0, CN[1])
+    for q in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="twist must be a finite number"):
+            wn.kappa_asym(1, q, cn=CN[1])
 
 
 @settings(max_examples=40, deadline=None)
