@@ -41,7 +41,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Strict JSON of ``doc``: a float that is not finite becomes null."""
+    def strict(obj):
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return None
+        if isinstance(obj, dict):
+            return {key: strict(val) for key, val in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [strict(val) for val in obj]
+        return obj
+    return json.dumps(strict(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _write_text(path, text):

@@ -67,17 +67,15 @@ def theta_of_r(profile):
     """Integrate the phase gradient v into a cumulative phase table.
 
     Uses the same composite Simpson quadrature as the profile's stored
-    first integral: node values plus interpolant midpoints, segment by
-    segment, with the parabolic origin head below the first node.
+    first integral: the node values ``profile.v`` plus midpoint values
+    read by ``profile.v_at``, segment by segment, with the parabolic
+    origin head below the first node.
     """
     r = profile.r_grid
-    v = profile.v
     mid = 0.5 * (r[:-1] + r[1:])
-    fm, _, wm = profile.interpolant(mid)
-    vm = wm / (mid * fm * fm + 1e-300)
     slope = origin_slope(profile.n, profile.q, profile.k)
-    head = 0.5 * slope * r[0] ** 2
-    theta = cumulative_midpoint_simpson(r, v, vm, head)
+    theta = cumulative_midpoint_simpson(r, profile.v, profile.v_at(mid),
+                                        0.5 * slope * r[0] ** 2)
     return PhaseTable(r=r.copy(), theta=theta, origin_slope=slope)
 
 

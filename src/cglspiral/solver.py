@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_bvp, solve_ivp
+from scipy.integrate import solve_bvp, solve_ivp
 
 from . import core, outer, wavenumber
 from .outer import SpiralParams
@@ -51,9 +51,11 @@ R_MATCH_WINDOW = (0.5, 2.0)
 class RadialProfile:
     """Converged (or diagnostic) radial solution on a grid.
 
+    ``interpolant(r)`` returns the rows (f, f', w) with w = r f^2 v, the
+    layout of :func:`_rhs`; ``f_at`` and ``v_at`` are its readers.
     ``integral`` holds I(r) = int_0^r xi f^2 (1 - f^2 - k^2) dxi computed
     by independent quadrature over the dense interpolant, so comparing
-    r f^2 v against -q I is a real consistency check, not a tautology.
+    w against -q I is a real consistency check, not a tautology.
     """
 
     n: int
@@ -79,7 +81,7 @@ class RadialProfile:
         return float(self.r_grid[-1])
 
     def first_integral_gap(self):
-        """sup |r f^2 v + q I| over the grid (exact identity on solutions)."""
+        """sup |w + q I| over the grid (exact identity on solutions)."""
         return float(np.max(np.abs(self.w + self.q * self.integral)))
 
     def f_at(self, r):
@@ -176,64 +178,65 @@ def _series_start(n, q, c, k2):
     return fs, dfs, w0
 
 
+def _rhs(n, q, k, r, y):
+    """Twisted system in the rows (f, f', w), stacked as (3, ...) arrays."""
+    f, g, w = y
+    v = w / (r * f * f + _TINY)
+    return np.vstack([
+        g,
+        -g / r + n * n * f / (r * r) - f * (1.0 - f * f - v * v),
+        -q * r * f * f * (1.0 - f * f - k * k),
+    ])
+
+
+def _profile(n, q, k, c, r, y, interpolant, **diagnostics):
+    """Record of the rows y = (f, f', w) on the nodes r, with the first
+    integral by midpoint Simpson, midpoints from the interpolant."""
+    f, g, w = y
+    k2 = k * k
+    mid = 0.5 * (r[:-1] + r[1:])
+    fm = interpolant(mid)[0]
+    I = core.cumulative_midpoint_simpson(
+        r, r * f * f * (1.0 - f * f - k2), mid * fm * fm * (1.0 - fm * fm - k2),
+        core.series_moment(n, c, k2, core.R_START))
+    return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f, df=g,
+                         v=w / (r * f * f + _TINY), integral=I, w=w,
+                         interpolant=interpolant, **diagnostics)
+
+
 def integrate_from_origin(params, c_f_guess, r_max):
     """March the profile outward from a series start at given (c_f, k).
 
-    The phase gradient is advanced through its running integral
-    I' = r f^2 (1 - f^2 - k^2) with v = -q I/(r f^2), which is regular at
-    the origin.  Marching stops early when f escapes the physical strip
-    (crosses zero or runs past 1.05); the escape radius is recorded for
-    bracketing diagnostics.  Not a boundary-tolerance route: the growing
-    mode amplifies rounding by e^{sqrt(2) r}.
+    The march advances the rows (f, f', w) of the collocation solve.
+    Marching stops early when f escapes the physical strip (crosses zero
+    or runs past 1.05); the escape radius is recorded for bracketing
+    diagnostics.  Not a boundary-tolerance route: the growing mode
+    amplifies rounding by e^{sqrt(2) r}.
     """
     if c_f_guess <= 0.0:
         raise ValueError(f"core slope must be positive, got {c_f_guess!r}")
     n, q, k = params.n, params.q, params.k
-    k2 = k * k
-
-    def rhs(r, y):
-        f, g, I = y
-        v = -q * I / (r * f * f + _TINY)
-        return [g,
-                -g / r + n * n * f / (r * r) - f * (1.0 - f * f - v * v),
-                r * f * f * (1.0 - f * f - k2)]
 
     def escape(r, y):
         return min(y[0] - (-0.02), 1.05 - y[0])
     escape.terminal = True
     escape.direction = -1
 
-    r_start = core.R_START
-    fs, dfs, w0 = _series_start(n, q, c_f_guess, k2)
-    I0 = core.series_moment(n, c_f_guess, k2, r_start)
-    grid = np.geomspace(r_start, r_max, 2000)
-    sol = solve_ivp(rhs, (r_start, r_max), [fs, dfs, I0], method="DOP853",
+    grid = np.geomspace(core.R_START, r_max, 2000)
+    sol = solve_ivp(lambda r, y: _rhs(n, q, k, r, y), (core.R_START, r_max),
+                    _series_start(n, q, c_f_guess, k * k), method="DOP853",
                     rtol=1e-10, atol=1e-13, dense_output=True, events=escape,
-                    t_eval=grid)
+                    t_eval=grid, vectorized=True)
     if not sol.success and sol.status != 1:
         raise RuntimeError(f"outward march failed: {sol.message}")
     escaped = sol.status == 1
     r_esc = float(sol.t_events[0][0]) if escaped else math.nan
-    r = sol.t
-    f, g, I = sol.y
-    v = -q * I / (r * f * f + _TINY)
-    return RadialProfile(n=n, q=q, k=k, c_f=c_f_guess, r_grid=r, f=f, df=g,
-                         v=v, integral=I, w=-q * I, interpolant=sol.sol,
-                         escaped=escaped, escape_radius=r_esc)
+    return _profile(n, q, k, c_f_guess, sol.t, sol.y, sol.sol,
+                    escaped=escaped, escape_radius=r_esc)
 
 
 def _collocation_solve(n, q, k0, c0, r_max, tol):
     sgn = 1.0 if q > 0 else -1.0
-
-    def fun(r, y, p):
-        f, g, w = y
-        k = np.exp(p[1])
-        v = w / (r * f * f + _TINY)
-        return np.vstack([
-            g,
-            -g / r + n * n * f / (r * r) - f * (1.0 - f * f - v * v),
-            -q * r * f * f * (1.0 - f * f - k * k),
-        ])
 
     def bc(ya, yb, p):
         c, logk = p
@@ -251,7 +254,8 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
     v0 = -sgn * k0 * r / np.sqrt(r * r + rb * rb)
     y = np.vstack([f0, prof0.df(r), r * f0 * f0 * v0])
     try:
-        sol = solve_bvp(fun, bc, r, y, p=[c0, math.log(k0)], tol=tol,
+        sol = solve_bvp(lambda r, y, p: _rhs(n, q, np.exp(p[1]), r, y), bc,
+                        r, y, p=[c0, math.log(k0)], tol=tol,
                         max_nodes=core.MAX_NODES, verbose=0)
     except ValueError as exc:
         # an iterate left the far field's domain: outer.far_field refused
@@ -262,25 +266,6 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
         reason = sol.message
     raise RuntimeError(f"collocation failed at n={n}, q={q} "
                        f"(r_max={r_max:.4g}): {reason}")
-
-
-def _profile_from_collocation(n, q, sol):
-    c = float(sol.p[0])
-    k = float(np.exp(sol.p[1]))
-    r = sol.x
-    f, g, w = sol.y
-    v = w / (r * f * f)
-    # independent quadrature of the first-integral right-hand side, with
-    # midpoints from the interpolant
-    k2 = k * k
-    g_node = r * f * f * (1.0 - f * f - k2)
-    mid = 0.5 * (r[:-1] + r[1:])
-    fm = sol.sol(mid)[0]
-    g_mid = mid * fm * fm * (1.0 - fm * fm - k2)
-    I = core.cumulative_midpoint_simpson(
-        r, g_node, g_mid, core.series_moment(n, c, k2, core.R_START))
-    return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f, df=g, v=v,
-                         integral=I, w=w, interpolant=sol.sol)
 
 
 def _check_properties(profile, report):
@@ -306,17 +291,9 @@ def _check_properties(profile, report):
 def _q0_solve(n):
     prof0 = core.solve_profile(n)
     r = np.geomspace(core.R_START, prof0.r_max, 4001)
-    f = prof0.f(r)
-    df = prof0.df(r)
-    zero = np.zeros_like(r)
-    integrand = r * f * f * (1.0 - f * f)
-    I = cumulative_simpson(integrand, x=r, initial=0.0) \
-        + core.series_moment(n, prof0.c_f, 0.0, r[0])
     interp = lambda rr: np.vstack([prof0.f(rr), prof0.df(rr),
                                    np.zeros_like(np.asarray(rr, float))])
-    profile = RadialProfile(n=n, q=0.0, k=0.0, c_f=prof0.c_f, r_grid=r, f=f,
-                            df=df, v=zero, integral=I, w=zero,
-                            interpolant=interp)
+    profile = _profile(n, 0.0, 0.0, prof0.c_f, r, interp(r), interp)
     report = WavenumberReport(n=n, q=0.0, k_numeric=0.0, k_asymptotic=0.0,
                               ratio=math.nan, boundary_residuals=(0.0, 0.0),
                               newton_iterations=0, residual=prof0.rms_residual,
@@ -369,7 +346,7 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
             break
 
     k = k0
-    profile = _profile_from_collocation(n, q, sol)
+    profile = _profile(n, q, k, c0, sol.x, sol.y, sol.sol)
     params = SpiralParams(n=n, q=q, k=k)
     _, _, f_o, v_o = outer.far_field(n, q, k, params.eps * profile.r_max)
     ratio = k / ka.value if ka.value > 0 else math.inf

@@ -295,6 +295,12 @@ def bessel_integer(kind, n, x):
         Carries the exponentially scaled pair, with log-magnitude forms,
         so extreme arguments (where I_n overflows float64) remain usable;
         the Wronskian I' K - I K' = 1/x stays verifiable in log scale.
+
+    Raises
+    ------
+    ValueError
+        If the scaled value or derivative is 0 or not finite in float64
+        (I_n at small x or large n, K_n at small x).
     """
     if kind not in ("I", "K"):
         raise ValueError(f"kind must be 'I' or 'K', got {kind!r}")
@@ -307,7 +313,12 @@ def bessel_integer(kind, n, x):
     # I_n' = (I_{n-1} + I_{n+1})/2, K_n' = -(K_{n-1} + K_{n+1})/2 with the
     # order -1 neighbour of n = 0 equal to order 1 for both kinds
     scaled, sign = (ive, 1.0) if kind == "I" else (kve, -1.0)
+    value = float(scaled(n, x))
     der = 0.5 * (float(scaled(abs(n - 1), x)) + float(scaled(n + 1, x)))
-    return IntegerOrderEval(kind=kind, n=n, x=x,
-                            scaled_value=float(scaled(n, x)),
+    if not all(t != 0.0 and math.isfinite(t) for t in (value, der)):
+        raise ValueError(
+            f"{kind}_{n} at x={x!r} is beyond the float64 limit: its scaled "
+            f"value or derivative ({value!r}, {sign * der!r}) underflows "
+            "below 5e-324 or overflows past 1.8e308")
+    return IntegerOrderEval(kind=kind, n=n, x=x, scaled_value=value,
                             scaled_derivative=sign * der)

@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestDispatch:
     def test_no_arguments_prints_usage(self, capsys):
         rc, out, err = run(capsys)
@@ -93,6 +100,23 @@ class TestBesselEval:
         assert doc["value"] == pytest.approx(
             specfun.bessel_integer("K", 1, 2.5).value, rel=1e-14)
         assert "log_abs_value" in doc
+
+    def test_integer_kind_beyond_float64_is_domain_error(self, capsys,
+                                                         tmp_path):
+        rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n", "5",
+                           "--x", "1e-300", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert out == ""
+        assert "float64" in err and "I_5" in err
+
+    def test_integer_kind_overflow_is_null(self, capsys, tmp_path):
+        # I_2(800) overflows float64; the log fields carry the magnitude
+        rc, out, _ = run(capsys, "bessel-eval", "--kind", "In", "--n", "2",
+                         "--x", "800", "--out-dir", str(tmp_path))
+        assert rc == 0
+        doc = strict_json(out)
+        assert doc["value"] is None and doc["derivative"] is None
+        assert doc["log_abs_value"] == pytest.approx(795.7364103874, rel=1e-12)
 
     def test_integer_order_must_be_integer(self, capsys, tmp_path):
         rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n",
@@ -431,8 +455,26 @@ class TestReadmeExamples:
         for line in lines:
             argv = shlex.split(line, comments=True)
             assert argv[0] == "cglspiral"
-            rc, _, err = run(capsys, *argv[1:])
+            rc, out, err = run(capsys, *argv[1:])
             assert rc == 0, (line, err)
+            # JSON on stdout is strict; notes and tables are not JSON
+            if out.lstrip().startswith(("{", "[")):
+                strict_json(out)
+        written = sorted(tmp_path.rglob("*.json"))
+        assert written
+        for path in written:
+            strict_json(path.read_text())
+
+    def test_untwisted_report_is_strict_json(self, capsys, tmp_path):
+        # k = 0 has no asymptotic ratio: it is written as null, not NaN
+        rc, out, _ = run(capsys, "solve", "--n", "1", "--q", "0",
+                         "--out-dir", str(tmp_path))
+        assert rc == 0
+        report = strict_json((tmp_path / "solve_report.json").read_text())
+        assert strict_json(out) == report
+        assert report["ratio"] is None
+        assert report["abs_ratio_minus_1_times_logq"] is None
+        assert report["k_numeric"] == 0.0
 
 
 class TestConfigFile:

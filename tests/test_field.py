@@ -53,8 +53,7 @@ class TestPhaseTable:
         c = -0.37
         fake = types.SimpleNamespace(
             r_grid=r, v=np.full_like(r, c), n=1, q=0.0, k=0.0,
-            interpolant=lambda rr: (np.ones_like(rr), np.zeros_like(rr),
-                                    c * rr))
+            v_at=lambda rr: np.full_like(rr, c))
         table = field.theta_of_r(fake)
         assert np.max(np.abs(np.diff(table.theta) - c * np.diff(r))) <= 1e-12
 

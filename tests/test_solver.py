@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cglspiral import core, outer, solver, wavenumber
+from cglspiral import core, field, outer, solver, wavenumber
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +283,20 @@ def test_integrate_from_origin_matches_collocation(base):
     assert gap < 1e-5
     assert np.max(np.abs(ivp.v - prof.v_at(ivp.r_grid))) < 1e-5
     assert ivp.first_integral_gap() < 1e-9
+
+
+def test_integrate_from_origin_reads_like_collocation(base):
+    # the march fills the same (f, f', w) record as the collocation solve,
+    # so its readers v_at and theta_of_r give the same phase
+    prof, rep = base
+    params = solver.SpiralParams(1, 0.5, rep.k_numeric)
+    ivp = solver.integrate_from_origin(params, prof.c_f, 5.0)
+    r = np.linspace(0.5, 5.0, 91)
+    assert np.max(np.abs(ivp.v_at(r) - prof.v_at(r))) < 1e-5
+    theta_ivp = field.theta_of_r(ivp)(r)
+    theta_col = field.theta_of_r(prof)(r)
+    assert np.max(np.abs(theta_ivp - theta_col)) < 1e-5
+    assert 0.0 < ivp.first_integral_gap() < 1e-9
 
 
 def test_integrate_from_origin_escape_diagnosis(base):

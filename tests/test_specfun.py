@@ -352,6 +352,18 @@ def test_integer_domain_errors():
                 sf.bessel_integer(kind, 1, x)
 
 
+@pytest.mark.parametrize("kind, n, x", [
+    ("I", 5, 1e-300),   # e^{-x} I_5 underflows; log I_5 is about -3,460
+    ("I", 200, 1.0),
+    ("K", 5, 1e-300),   # e^{x} K_5 overflows; log K_5 is about 3,460
+    ("K", 1, 1e-300),   # K_1 is finite, its scaled derivative is not
+])
+def test_integer_beyond_float64_refused(kind, n, x):
+    with pytest.raises(ValueError, match=rf"{kind}_{n} at x={x!r} is beyond "
+                                         "the float64 limit"):
+        sf.bessel_integer(kind, n, x)
+
+
 def test_negative_order_refused():
     with pytest.raises(ValueError, match="nonnegative"):
         sf.k_imag(-0.1, 1.0)

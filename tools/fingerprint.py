@@ -12,7 +12,11 @@ claims bit-identity is checked with
 The cases are cold n = 1 solves across both signs of q and past q = 1,
 explicit matching radii on either side of the validated window, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
-and the benchmark's unjittered 15-twist n = 1 sweep.
+and the benchmark's unjittered 15-twist n = 1 sweep.  The other producers
+of the radial-profile record follow: the untwisted q = 0 solves, with the
+last value of their first integral, and one march from the origin at the
+converged n = 1, q = 0.5 solve, with the last values of its first integral
+and of v.
 """
 
 from cglspiral import solver
@@ -62,6 +66,17 @@ def main():
             continue
         print(f"{label}: k={float(report.k_numeric).hex()} "
               f"nodes={meshes[report.q]} iters={report.newton_iterations}")
+
+    for n in (1, 2):
+        profile, _ = solver.solve_spiral(n, 0.0)
+        print(f"solve_spiral({n}, 0.0): "
+              f"integral[-1]={float(profile.integral[-1]).hex()}")
+    profile, report = solver.solve_spiral(1, 0.5)
+    march = solver.integrate_from_origin(
+        solver.SpiralParams(1, 0.5, report.k_numeric), profile.c_f, 5.0)
+    print("integrate_from_origin(1, 0.5, r_max=5.0): "
+          f"integral[-1]={float(march.integral[-1]).hex()} "
+          f"v[-1]={float(march.v[-1]).hex()}")
 
 
 if __name__ == "__main__":
