@@ -32,9 +32,9 @@ from scipy.integrate import cumulative_simpson, solve_bvp, solve_ivp
 from scipy.interpolate import CubicSpline
 
 __all__ = [
-    "CoreProfile", "TailConstant", "core_series", "series_moment",
-    "origin_slope", "piecewise", "far_profile", "solve_profile", "v_inner",
-    "tail_constant", "property_scan",
+    "CoreProfile", "TailConstant", "core_series", "core_series_dc",
+    "series_moment", "origin_slope", "piecewise", "far_profile",
+    "solve_profile", "v_inner", "tail_constant", "property_scan",
 ]
 
 # series cut: every collocation solve enters the origin through
@@ -51,15 +51,30 @@ def core_series(n, c, r):
     coefficient couples back to c only for the single-armed case.
     """
     r = np.asarray(r, dtype=float)
-    a2 = -1.0 / (4.0 * (n + 1))
-    if n == 1:
-        a4 = (c * c + 0.125) / 24.0
-    else:
-        a4 = -a2 / (8.0 * (n + 2))
+    a2, a4, _ = _series_coefficients(n, c)
     f = c * r ** n * (1.0 + a2 * r * r + a4 * r ** 4)
     df = c * (n * r ** (n - 1) + (n + 2) * a2 * r ** (n + 1)
               + (n + 4) * a4 * r ** (n + 3))
     return f, df
+
+
+def core_series_dc(n, c, r):
+    """Derivatives in c of :func:`core_series`'s profile and slope,
+    the c-dependent r^4 coefficient of the single-armed case included."""
+    r = np.asarray(r, dtype=float)
+    a2, a4, da4 = _series_coefficients(n, c)
+    f_c = r ** n * (1.0 + a2 * r * r + (a4 + c * da4) * r ** 4)
+    df_c = (n * r ** (n - 1) + (n + 2) * a2 * r ** (n + 1)
+            + (n + 4) * (a4 + c * da4) * r ** (n + 3))
+    return f_c, df_c
+
+
+def _series_coefficients(n, c):
+    """(a2, a4, da4/dc) of the origin series."""
+    a2 = -1.0 / (4.0 * (n + 1))
+    if n == 1:
+        return a2, (c * c + 0.125) / 24.0, c / 12.0
+    return a2, -a2 / (8.0 * (n + 2)), 0.0
 
 
 def series_moment(n, c, k2, r):

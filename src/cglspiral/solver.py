@@ -12,12 +12,16 @@ and v are tied to the decaying far-field pair built from the imaginary
 order Bessel cone (see :mod:`cglspiral.outer`).  A damped-Newton
 collocation scheme (scipy's solve_bvp) carries (c_f, log k) as unknown
 parameters; log k because k spans many orders of magnitude across a
-twist sweep.  Plain origin shooting is kept as a diagnostic
+twist sweep.  Newton runs on the exact Jacobians of the equations and
+boundary conditions (:func:`_rhs_jac`, :func:`_boundary`), never on
+difference estimates.  Plain origin shooting is kept as a diagnostic
 (:func:`integrate_from_origin`) but cannot reach the far boundary at
 tolerance: the growing mode amplifies initial rounding by e^{sqrt(2) r}.
 
-Negative twist is solved natively (the mirror solution with v negated);
-zero twist returns the untwisted core profile with k = 0 exactly.
+Negative twist is solved natively: every Newton step at -q is the step
+at +q with w negated, so the mesh and k agree bit for bit and v flips
+sign exactly.  Zero twist returns the untwisted core profile with k = 0
+exactly.
 """
 
 import math
@@ -172,10 +176,17 @@ def cgl_lambda_omega(q, k, Omega):
 
 def _series_start(n, q, c, k2):
     fs, dfs = core.core_series(n, c, core.R_START)
-    # not -q * core.series_moment(...): that moves w0's last bit, and with
-    # it the cold n = 2, q = 0.4 mesh from 3,418 to 61,084 nodes
-    w0 = -q * c * c * (1.0 - k2) * core.R_START ** (2 * n + 2) / (2 * n + 2)
-    return fs, dfs, w0
+    return fs, dfs, -q * core.series_moment(n, c, k2, core.R_START)
+
+
+def _series_start_dp(n, q, c, k2):
+    """Derivatives of the rows of :func:`_series_start` in (c_f, log k)."""
+    fs_c, dfs_c = core.core_series_dc(n, c, core.R_START)
+    # w0 = -q c^2 (1 - k^2) head
+    head = core.R_START ** (2 * n + 2) / (2 * n + 2)
+    return np.array([[fs_c, 0.0], [dfs_c, 0.0],
+                     [-2.0 * q * c * (1.0 - k2) * head,
+                      2.0 * q * c * c * k2 * head]])
 
 
 def _rhs(n, q, k, r, y):
@@ -187,6 +198,25 @@ def _rhs(n, q, k, r, y):
         -g / r + n * n * f / (r * r) - f * (1.0 - f * f - v * v),
         -q * r * f * f * (1.0 - f * f - k * k),
     ])
+
+
+def _rhs_jac(n, q, k, r, y):
+    """Exact Jacobians of :func:`_rhs` in the rows (f, f', w) and in the
+    parameters (c_f, log k), shaped (3, 3, m) and (3, 2, m) for solve_bvp."""
+    f, g, w = y
+    d = r * f * f + _TINY
+    v = w / d
+    dv_df = -2.0 * r * f * w / (d * d)
+    zero, one = np.zeros_like(f), np.ones_like(f)
+    df_dy = np.array([
+        [zero, one, zero],
+        [n * n / (r * r) - 1.0 + 3.0 * f * f + v * v + 2.0 * f * v * dv_df,
+         -1.0 / r, 2.0 * f * v / d],
+        [-2.0 * q * r * f * (1.0 - 2.0 * f * f - k * k), zero, zero],
+    ])
+    df_dp = np.array([[zero, zero], [zero, zero],
+                      [zero, 2.0 * q * r * f * f * k * k]])
+    return df_dy, df_dp
 
 
 def _profile(n, q, k, c, r, y, interpolant, **diagnostics):
@@ -235,7 +265,12 @@ def integrate_from_origin(params, c_f_guess, r_max):
                     escaped=escaped, escape_radius=r_esc)
 
 
-def _collocation_solve(n, q, k0, c0, r_max, tol):
+def _boundary(n, q, r_max):
+    """Boundary residuals of the twisted solve and their exact Jacobians.
+
+    The rows are the series start at core.R_START (f, f', w) and the far
+    field at r_max (f and v); the parameters are p = (c_f, log k).
+    """
     sgn = 1.0 if q > 0 else -1.0
 
     def bc(ya, yb, p):
@@ -247,6 +282,28 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
         return np.array([ya[0] - fs, ya[1] - dfs, ya[2] - w0,
                          yb[0] - f_o, v_end - v_o])
 
+    def bc_jac(ya, yb, p):
+        c, logk = p
+        k = np.exp(logk)
+        R = k * abs(q) * r_max
+        # dR/dlog k = R, and the far field's eps n/R = n/r_max is free of k
+        V0, dV0, f_o, _ = outer.far_field(n, q, k, R)
+        dV = k * (V0 + R * dV0)
+        d = r_max * yb[0] * yb[0] + _TINY
+        dbc_dya = np.eye(5, 3)
+        dbc_dyb = np.zeros((5, 3))
+        dbc_dyb[3, 0] = 1.0
+        dbc_dyb[4] = [-2.0 * r_max * yb[0] * yb[2] / (d * d), 0.0, 1.0 / d]
+        dbc_dp = np.vstack([-_series_start_dp(n, q, c, k * k),
+                            [[0.0, k * V0 * dV / f_o], [0.0, -sgn * dV]]])
+        return dbc_dya, dbc_dyb, dbc_dp
+
+    return bc, bc_jac
+
+
+def _collocation_solve(n, q, k0, c0, r_max, tol):
+    sgn = 1.0 if q > 0 else -1.0
+    bc, bc_jac = _boundary(n, q, r_max)
     r = np.geomspace(core.R_START, r_max, N_MESH)
     prof0 = core.solve_profile(n)
     f0 = prof0.f(r)
@@ -256,7 +313,9 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
     try:
         sol = solve_bvp(lambda r, y, p: _rhs(n, q, np.exp(p[1]), r, y), bc,
                         r, y, p=[c0, math.log(k0)], tol=tol,
-                        max_nodes=core.MAX_NODES, verbose=0)
+                        fun_jac=lambda r, y, p: _rhs_jac(n, q, np.exp(p[1]),
+                                                         r, y),
+                        bc_jac=bc_jac, max_nodes=core.MAX_NODES, verbose=0)
     except ValueError as exc:
         # an iterate left the far field's domain: outer.far_field refused
         reason = exc

@@ -230,6 +230,18 @@ def test_piecewise_pieces_and_return_convention():
                           None).shape == (1,)
 
 
+def test_series_c_derivative_matches_complex_step():
+    # at r = 0.5 the c-dependent r^4 coefficient of n = 1 moves df/dc by
+    # about 1e-3 relative, far above the tolerance
+    r, h = np.array([1e-3, 0.1, 0.5]), 1e-30
+    for n in (1, 2, 3):
+        c = CF_FROZEN[n]
+        f_c, df_c = core.core_series_dc(n, c, r)
+        f, df = core.core_series(n, c + 1j * h, r)
+        np.testing.assert_allclose(f_c, f.imag / h, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(df_c, df.imag / h, rtol=1e-14, atol=0)
+
+
 def test_origin_law_in_one_place():
     p = core.solve_profile(2)
     slope = core.origin_slope(2, 0.5, 0.1)

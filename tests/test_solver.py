@@ -338,31 +338,92 @@ def test_endpoint_slope_at_large_order(n, q):
     assert V_end == pytest.approx(V_ref, rel=1e-9)
 
 
-# Standing faults, pinned until the fixes of ROADMAP items 1 and 3 flip them.
+@pytest.fixture(scope="module", params=[(1, 0.5), (1, -0.5), (2, 0.5),
+                                        (2, -0.5)], ids=str)
+def converged(request):
+    n, q = request.param
+    prof, rep = solver.solve_spiral(n, q)
+    y = np.vstack([prof.f, prof.df, prof.w])
+    return n, q, prof, y, np.array([prof.c_f, math.log(rep.k_numeric)])
+
+
+def test_rhs_jacobian_matches_complex_step(converged):
+    # complex steps take no differences, so they hold where w ~ 0 and at
+    # n = 2, where f ~ 1e-7 at the series cut
+    n, q, prof, y, (c, logk) = converged
+    r, h = prof.r_grid, 1e-30
+    df_dy, df_dp = solver._rhs_jac(n, q, math.exp(logk), r, y)
+    for j in range(3):
+        yc = y.astype(complex)
+        yc[j] += 1j * h
+        step = solver._rhs(n, q, math.exp(logk), r, yc).imag / h
+        np.testing.assert_allclose(df_dy[:, j], step, rtol=1.5e-12, atol=0)
+    step = solver._rhs(n, q, np.exp(logk + 1j * h), r, y.astype(complex))
+    np.testing.assert_allclose(df_dp[:, 1], step.imag / h, rtol=1.5e-12,
+                               atol=0)
+    assert not np.any(df_dp[:, 0])
+
+
+def test_boundary_jacobian_matches_central_differences(converged):
+    n, q, prof, y, p = converged
+    bc, bc_jac = solver._boundary(n, q, prof.r_max)
+    ya, yb, h = y[:, 0], y[:, -1], 1e-4
+
+    def central(fn, x):
+        cols = []
+        for e in np.eye(x.size) * h:
+            cols.append((8.0 * (fn(x + e) - fn(x - e))
+                         - (fn(x + 2 * e) - fn(x - 2 * e))) / (12.0 * h))
+        return np.array(cols).T
+
+    exact = bc_jac(ya, yb, p)
+    numeric = (central(lambda x: bc(x, yb, p), ya),
+               central(lambda x: bc(ya, x, p), yb),
+               central(lambda x: bc(ya, yb, x), p))
+    for jac, ref in zip(exact, numeric):
+        np.testing.assert_allclose(jac, ref, rtol=1e-10, atol=0)
+
+
+def test_mirror_twists_share_the_mesh():
+    # exact Jacobians make the Newton path at -q the mirror of the one at
+    # +q bit for bit; 0.3 and 0.28 took 124,687 and 53,552 nodes at +q
+    # under forward-difference Jacobians
+    for q in (0.5, 0.3, 0.28):
+        plus, rep_p = solver.solve_spiral(2, q)
+        minus, rep_m = solver.solve_spiral(2, -q)
+        assert np.array_equal(plus.r_grid, minus.r_grid), q
+        assert np.array_equal(plus.v, -minus.v), q
+        assert rep_p.k_numeric == rep_m.k_numeric, q
+        assert plus.r_grid.size < 5000, q
+
+
+def test_three_arm_solve_at_small_twist():
+    plus, rep_p = solver.solve_spiral(3, 0.3)
+    minus, rep_m = solver.solve_spiral(3, -0.3)
+    for prof, rep in ((plus, rep_p), (minus, rep_m)):
+        assert rep.status == 0 and not rep.properties["suspect"]
+        assert prof.first_integral_gap() <= 1e-9
+        assert max(map(abs, rep.boundary_residuals)) <= 1e-6
+    assert rep_p.k_numeric == rep_m.k_numeric
+    assert np.array_equal(plus.r_grid, minus.r_grid)
+    assert np.array_equal(plus.v, -minus.v)
+
+
+# Standing faults, pinned until the fix of ROADMAP item 3 flips them.
 
 @pytest.mark.xfail(strict=True, reason=(
-    "FOUND: n = 3 solves always fail: solve_spiral(3, q) raises 'collocation "
-    "failed ... singular Jacobian' at the default series cut R_START = 1e-3"))
+    "FOUND: n = 3 fails at q = 0.5: solve_spiral(3, 0.5) stops with 'The "
+    "maximum number of mesh nodes is exceeded', though |q| = 0.3 and 0.25 "
+    "converge on 3.1k nodes"))
 def test_three_arm_solve_converges():
     _, report = solver.solve_spiral(3, 0.5)
     assert report.status == 0
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "FOUND: cold n = 2 solves take different meshes at +q and -q (3,392 "
-    "nodes at q = +0.5 against 3,350 at -0.5) and blow the mesh up on one "
-    "sign: 124,687 nodes at q = +0.3 against 3,706 at -0.3"))
-def test_mirror_twists_share_the_mesh():
-    plus, _ = solver.solve_spiral(2, 0.5)
-    minus, _ = solver.solve_spiral(2, -0.5)
-    assert plus.r_grid.size == minus.r_grid.size
-    assert np.array_equal(plus.r_grid, minus.r_grid)
-    assert np.array_equal(plus.v, -minus.v)
-
-
-@pytest.mark.xfail(strict=True, reason=(
     "FOUND: the n = 1 solve misses its own first-integral tolerance at small "
-    "twist: the gap is 4.9e-9 for a cold solve_spiral(1, 0.15)"))
+    "twist: the gap is 1.78e-9 for a cold solve_spiral(1, 0.15) and its "
+    "mirror"))
 def test_first_integral_holds_at_small_twist():
     for q in (0.15, -0.15):
         profile, _ = solver.solve_spiral(1, q)
