@@ -592,6 +592,13 @@ def main(argv=None):
     except CliError as exc:
         sys.stderr.write(f"cglspiral: {exc}\n")
         return 1
+    except OSError as exc:
+        # handlers read their inputs under CliError, so what reaches here
+        # is an output file that could not be written; a failed write
+        # (a full disk) carries no file name
+        sys.stderr.write(f"cglspiral: cannot write {exc.filename or 'output'}"
+                         f": {exc.strerror}\n")
+        return 1
     except ValueError as exc:
         sys.stderr.write(f"cglspiral: {exc}\n")
         return 1

@@ -150,16 +150,24 @@ def export(grid, path, format="csv"):
 
     CSV has header x,y,re,im,abs, one row per sample, row-major with x
     fastest, every float printed with 17 significant digits so reading
-    the file back reproduces the doubles exactly.  JSON carries the
-    metadata plus flat row-major re/im arrays.
+    the file back reproduces the doubles exactly.  It is streamed one
+    grid row at a time: the x strings are formatted once per frame and
+    each y once per row, and the bytes are those ``write_csv`` would
+    give for the five columns.  JSON carries the metadata plus flat
+    row-major re/im arrays.
     """
     if grid.values.size == 0:
         raise ValueError("refusing to export an empty grid")
     if format == "csv":
-        X, Y = np.meshgrid(grid.x, grid.y)
-        write_csv(path, "x,y,re,im,abs", [
-            X.ravel(), Y.ravel(), grid.values.real.ravel(),
-            grid.values.imag.ravel(), np.abs(grid.values).ravel()])
+        xs = ["%.17g" % x for x in grid.x.tolist()]
+        with open(path, "w") as fh:
+            fh.write("x,y,re,im,abs\n")
+            for y, row in zip(grid.y.tolist(), grid.values):
+                # "<x>,<y>,%.17g,%.17g,%.17g\n" for every x of the row
+                tail = ",%.17g" % y + ",%.17g,%.17g,%.17g\n"
+                cells = np.column_stack((row.real, row.imag, np.abs(row)))
+                fh.write((tail.join(xs) + tail)
+                         % tuple(cells.ravel().tolist()))
     elif format == "json":
         doc = {
             "nx": grid.nx, "ny": grid.ny, "extent": grid.extent, "t": grid.t,
@@ -169,8 +177,8 @@ def export(grid, path, format="csv"):
             "im": grid.values.imag.ravel().tolist(),
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            # dumps takes the C encoder; dump would iterate in Python
+            fh.write(json.dumps(doc) + "\n")
     else:
         raise ValueError(f"unknown export format {format!r}")
 

@@ -173,6 +173,16 @@ class TestOuterEval:
         assert np.max(np.abs(data[:, 6])) <= 1e-8
         assert np.all(data[:, 2] < 0)
 
+    def test_unwritable_output_is_clean_error(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
+                         "--k", "0.3", "--r-grid", "20:40:5",
+                         "--out", "nodir/x.csv", "--out-dir", str(tmp_path))
+        assert rc == 1
+        target = tmp_path / "nodir" / "x.csv"
+        assert err == (f"cglspiral: cannot write {target}: "
+                       "No such file or directory\n")
+        assert not (tmp_path / "outer_eval_manifest.json").exists()
+
     def test_below_floor_is_domain_error(self, capsys, tmp_path):
         rc, out, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.1",
                            "--k", "0.01", "--r-grid", "0.1:1:5",
@@ -430,6 +440,19 @@ class TestFieldCommand:
         doc = json.loads((tmp_path / "f.json").read_text())
         assert doc["nx"] == 9 and len(doc["re"]) == 81
 
+    @pytest.mark.parametrize("name", ["f.csv", "f.json"])
+    def test_unwritable_output_is_clean_error(self, capsys, tmp_path, name):
+        rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        rc, _, err = run(capsys, "field", "--solve-report",
+                         str(tmp_path / "solve_report.json"),
+                         "--nx", "5", "--ny", "5", "--extent", "10",
+                         "--out", f"nodir/{name}", "--out-dir", str(tmp_path))
+        assert rc == 1
+        target = tmp_path / "nodir" / name
+        assert err == (f"cglspiral: cannot write {target}: "
+                       "No such file or directory\n")
 
     def test_nonpositive_extent(self, capsys, tmp_path):
         report = tmp_path / "solve_report.json"

@@ -1,5 +1,6 @@
 """Field assembly, export, and arm-spacing measurement tests."""
 
+import io
 import json
 import math
 import types
@@ -195,6 +196,61 @@ class TestExport:
     def test_unknown_format(self, small_grid, tmp_path):
         with pytest.raises(ValueError, match="format"):
             field.export(small_grid, tmp_path / "f.xml", "xml")
+
+    @staticmethod
+    def savetxt_bytes(path, header, columns):
+        # the oracle: numpy's own row-at-a-time writer
+        np.savetxt(path, np.column_stack(columns), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
+        return path.read_bytes()
+
+    def assert_export_matches_savetxt(self, grid, tmp_path):
+        X, Y = np.meshgrid(grid.x, grid.y)
+        want = self.savetxt_bytes(tmp_path / "oracle.csv", "x,y,re,im,abs", [
+            X.ravel(), Y.ravel(), grid.values.real.ravel(),
+            grid.values.imag.ravel(), np.abs(grid.values).ravel()])
+        field.export(grid, tmp_path / "f.csv", "csv")
+        assert (tmp_path / "f.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("spec", [(21, 17, 10.0), (3, 2, 10.0)])
+    def test_csv_bytes_match_savetxt(self, default_solve, spec, tmp_path):
+        prof, _ = default_solve
+        grid = field.sample_field(prof, field.theta_of_r(prof), 1, 0.3, 0.25,
+                                  spec)
+        self.assert_export_matches_savetxt(grid, tmp_path)
+
+    def test_csv_bytes_match_savetxt_edge_values(self, tmp_path):
+        values = np.empty((2, 2), dtype=complex)
+        values.real = [[-0.0, 5e-324], [1e300, -2.5]]
+        values.imag = [[0.0, -1e300], [-0.0, -5e-324]]
+        grid = field.FieldGrid(nx=2, ny=2, extent=1.0, t=0.0, chirality=1,
+                               n=1, q=0.5, k=0.1, omega=0.0,
+                               x=np.array([-1.0, 1.0]),
+                               y=np.array([-0.0, 1.0 / 3.0]), values=values)
+        self.assert_export_matches_savetxt(grid, tmp_path)
+        text = (tmp_path / "f.csv").read_text()
+        assert "-1,-0,-0,0,0\n" in text
+        assert ",-4.9406564584124654e-324,2.5\n" in text
+        assert ",1.0000000000000001e+300,-0,1.0000000000000001e+300\n" in text
+
+    def test_json_bytes_match_json_dump(self, small_grid, tmp_path):
+        path = tmp_path / "f.json"
+        field.export(small_grid, path, "json")
+        # the oracle: the stdlib's streaming encoder on the same document
+        buf = io.StringIO()
+        json.dump(json.loads(path.read_text()), buf)
+        assert path.read_text() == buf.getvalue() + "\n"
+
+    def test_write_csv_matches_savetxt(self, tmp_path):
+        # a sweep table: nan and inf where a solve failed, integer counts
+        columns = [np.array([0.5, 0.4, 0.3]),
+                   np.array([np.nan, np.inf, -np.inf]),
+                   np.array([7, 12, 0]), np.array([-0.0, 5e-324, 1e300])]
+        want = self.savetxt_bytes(tmp_path / "oracle.csv", "q,k,iters,res",
+                                  columns)
+        field.write_csv(tmp_path / "t.csv", "q,k,iters,res", columns)
+        assert (tmp_path / "t.csv").read_bytes() == want
+        assert b"nan,7," in want and b"-inf,0," in want
 
     def test_deterministic_bytes(self, small_grid, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

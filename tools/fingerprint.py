@@ -16,10 +16,15 @@ and the benchmark's unjittered 15-twist n = 1 sweep.  The other producers
 of the radial-profile record follow: the untwisted q = 0 solves, with the
 last value of their first integral, and one march from the origin at the
 converged n = 1, q = 0.5 solve, with the last values of its first integral
-and of v.
+and of v.  Last come the sha256 digests of a small CSV and JSON export of
+the field of that solve, so a change to the writers is diffed like a solve.
 """
 
-from cglspiral import solver
+import hashlib
+import tempfile
+from pathlib import Path
+
+from cglspiral import field, solver
 
 SOLVES = [
     (1, 0.5, None), (1, -0.5, None), (1, 0.9, None), (1, 1.2, None),
@@ -77,6 +82,16 @@ def main():
     print("integrate_from_origin(1, 0.5, r_max=5.0): "
           f"integral[-1]={float(march.integral[-1]).hex()} "
           f"v[-1]={float(march.v[-1]).hex()}")
+
+    omega = 0.5 * (1.0 - report.k_numeric ** 2)
+    grid = field.sample_field(profile, field.theta_of_r(profile), 1, omega,
+                              0.25, (33, 25, 30.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            path = Path(tmp) / f"frame.{fmt}"
+            field.export(grid, path, fmt)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"export(1, 0.5, 33x25, {fmt}): sha256={digest}")
 
 
 if __name__ == "__main__":
