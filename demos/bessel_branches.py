@@ -30,14 +30,3 @@ print(f"  sign validity floor for nu=0.3: {floor:.3e}")
 for x in (2e-5, 4e-5, 1e-4, floor, 1.0):
     ev = specfun.k_imag(0.3, x)
     print(f"  K(i 0.3)({x:9.3e}) = {ev.value:+.6e}")
-
-print()
-print("integer orders stay usable in log scale where the plain value overflows:")
-I1 = specfun.bessel_integer("I", 1, 800.0)
-K1 = specfun.bessel_integer("K", 1, 800.0)
-print(f"  I_1(800): log|I| = {I1.log_abs_value:.3f} "
-      "(the plain value would overflow float64)")
-# the e^{+-x} scale factors cancel in I' K - I K' = 1/x
-wronskian = I1.scaled_derivative * K1.scaled_value \
-    - I1.scaled_value * K1.scaled_derivative
-print(f"  scaled Wronskian I'K - IK' = {wronskian:.9e}  (1/x = {1/800.0:.9e})")

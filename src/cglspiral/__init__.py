@@ -9,7 +9,7 @@ Module map
 ----------
 specfun
     K_{i nu} by a trapezoid sum of its integral, with a quadrature oracle;
-    integer-order I_n/K_n in log scale; arg Gamma(1 + k + i nu).
+    arg Gamma(1 + k + i nu).
 outer
     The far-field branch: decaying logarithmic-derivative slope V0, its
     Riccati equation, the far field (V0, V0', F0, v) at a stretched

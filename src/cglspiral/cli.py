@@ -153,29 +153,12 @@ def _grid_spec(text):
 
 def _cmd_bessel_eval(args):
     method = {"auto": None, "quad": "quadrature"}[args.method]
-    if args.kind == "Kinu":
-        if args.nu is None:
-            raise CliError("--nu is required for kind Kinu")
-        ev = specfun.k_imag(args.nu, args.x, method=method)
-        doc = {"kind": "Kinu", "nu": ev.nu, "x": ev.x, "value": ev.value,
-               "derivative": ev.derivative, "method": ev.method,
-               # the trapezoid sum matches mpmath to this relative bound
-               "err_estimate": 1e-12}
-    else:
-        if args.n is None:
-            raise CliError(f"--n is required for kind {args.kind}")
-        if method is not None:
-            raise CliError(
-                "integer orders have a single evaluation path; --method "
-                "only applies to kind Kinu")
-        ev = specfun.bessel_integer(args.kind[0], args.n, args.x)
-        doc = {"kind": args.kind, "n": ev.n, "x": ev.x, "value": ev.value,
-               "derivative": ev.derivative, "method": "log-recurrence",
-               "err_estimate": 1e-14,
-               "log_abs_value": ev.log_abs_value,
-               "log_abs_derivative": ev.log_abs_derivative}
-    config = {k: doc.get(k) for k in ("kind", "nu", "n", "x") if k in doc}
-    config["method"] = args.method
+    ev = specfun.k_imag(args.nu, args.x, method=method)
+    doc = {"kind": "Kinu", "nu": ev.nu, "x": ev.x, "value": ev.value,
+           "derivative": ev.derivative, "method": ev.method,
+           # the trapezoid sum matches mpmath to this relative bound
+           "err_estimate": 1e-12}
+    config = {"kind": "Kinu", "nu": ev.nu, "x": ev.x, "method": args.method}
     _write_manifest(args, "bessel-eval", config, [])
     _emit(args, doc)
     return 0
@@ -485,10 +468,9 @@ def build_parser():
     _add_global_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("bessel-eval", parents=[common], help="evaluate one modified Bessel value")
-    p.add_argument("--kind", required=True, choices=("Kinu", "Kn", "In"))
-    p.add_argument("--nu", type=_number, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p = sub.add_parser("bessel-eval", parents=[common], help="evaluate K_{i nu}(x) and its derivative")
+    p.add_argument("--kind", required=True, choices=("Kinu",))
+    p.add_argument("--nu", type=_number, required=True)
     p.add_argument("--x", type=_number, required=True)
     p.add_argument("--method", default="auto",
                    choices=("auto", "quad"))

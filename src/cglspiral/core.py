@@ -190,6 +190,9 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"arm count must be a positive integer, got {n!r}")
+    if not R_START < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and above the series cut "
+                         f"core.R_START = {R_START:g}, got {r_max!r}")
     n = int(n)
 
     def rhs(r, y, p):

@@ -111,7 +111,11 @@ class RadialProfile:
 
 @dataclass
 class WavenumberReport:
-    """Outcome of one full solve, with the asymptotic comparison."""
+    """Outcome of one full solve, with the asymptotic comparison.
+
+    ``newton_iterations`` is solve_bvp's ``niter``, the mesh-refinement
+    passes of the last matching-radius attempt, not Newton steps.
+    """
 
     n: int
     q: float
@@ -374,12 +378,15 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     iterate outside its domain fails the solve with its reason, and the
     report's boundary residuals are the endpoint's distance from it.
     """
+    if r_max is not None and not core.R_START < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and above the series cut "
+                         f"core.R_START = {core.R_START:g}, got {r_max!r}")
     if q == 0.0:
         return _q0_solve(n)
     ka = wavenumber.kappa_asym(n, abs(q))
     if init is not None:
         c0, k0 = init
-        if not (0.0 < k0 < 1.0) or c0 <= 0.0:
+        if not (0.0 < k0 < 1.0 and 0.0 < c0 < math.inf):
             raise ValueError(f"initial (c_f, k)=({c0!r}, {k0!r}) out of range")
     else:
         c0 = core.solve_profile(n).c_f
@@ -424,9 +431,10 @@ def wavenumber_sweep(n, q_list, tol=1e-10):
     """Descending-twist sweep with asymptotically warm-started seeds.
 
     Each solve seeds the next through the asymptotic transfer
-    log k(q_next) ~ log k(q_prev) + [log kappa(q_next) - log kappa(q_prev)].
-    Per-twist failures are isolated: the report row carries the error
-    message and the sweep continues.
+    log k(q_next) ~ log k(q_prev) + [log kappa(q_next) - log kappa(q_prev)],
+    except at q = 0 and the twist after it, which start cold.  Per-twist
+    failures are isolated: the report row carries the error message and
+    the sweep continues.
     """
     qs = list(q_list)
     if any(b >= a for a, b in zip(qs, qs[1:])):
@@ -435,7 +443,7 @@ def wavenumber_sweep(n, q_list, tol=1e-10):
     k_prev = c_prev = q_prev = None
     for q in qs:
         try:
-            if k_prev is None:
+            if not k_prev or q == 0.0:
                 init = None
             else:
                 lk = math.log(k_prev) \

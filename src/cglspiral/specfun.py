@@ -22,10 +22,6 @@ so the log-slope and its derivative are scale-free, finite where K itself
 underflows float64, and free of the cancellation in K''/K - (K'/K)^2.
 Scipy's adaptive quadrature of the same integral is kept as the
 cross-validation oracle.
-
-Integer-order I_n/K_n are thin wrappers over scipy's exponentially scaled
-routines with recurrence derivatives, carrying log-magnitude forms so the
-Wronskian remains checkable at arguments where I_n overflows.
 """
 
 import math
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ive, kve, loggamma
+from scipy.special import loggamma
 
 UNDERFLOW_WALL = 745.0  # exp(-746) is zero in float64
 # smallest argument held in float64 at every order: below it s^2 ~ 1/x^2
@@ -122,10 +118,12 @@ def _moments(nu, x):
 
 
 def _cosh_quad(x, integrand):
-    """int_0^T of the integrand, with x cosh T at the float64 underflow
-    wall so the discarded tail is below e^{-745}; Gauss-Kronrod."""
+    """(value, abserr) of int_0^T of the integrand by Gauss-Kronrod, with
+    x cosh T at the float64 underflow wall so the discarded tail is below
+    e^{-745}; a missed request shows in abserr, not as a warning."""
     T = math.acosh(UNDERFLOW_WALL / x) if x < UNDERFLOW_WALL else 1e-8
-    return quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200)
+    return quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200,
+                full_output=1)[:2]
 
 
 def k_imag_quadrature(nu, x):
@@ -231,94 +229,3 @@ def gamma_arg(k, nu):
         raise ValueError(f"order magnitude must be nonnegative, got nu={nu!r}")
     k = int(k)
     return GammaArg(k=k, nu=nu, theta=float(loggamma(1.0 + k + 1j * nu).imag))
-
-
-@dataclass(frozen=True)
-class IntegerOrderEval:
-    """Integer-order I_n or K_n with derivative, in plain and log scale.
-
-    ``scaled_value``/``scaled_derivative`` carry e^{-x} I_n resp. e^{x} K_n
-    (and their derivatives), which stay finite at arguments where the plain
-    values overflow or underflow; identities whose scale factors cancel, the
-    Wronskian above all, should be checked through them.  The log-magnitude
-    and plain forms are derived from that pair.
-    """
-
-    kind: str
-    n: int
-    x: float
-    scaled_value: float
-    scaled_derivative: float
-
-    @property
-    def _log_scale(self):
-        return self.x if self.kind == "I" else -self.x
-
-    @property
-    def log_abs_value(self):
-        return math.log(self.scaled_value) + self._log_scale
-
-    @property
-    def log_abs_derivative(self):
-        return math.log(abs(self.scaled_derivative)) + self._log_scale
-
-    @property
-    def value(self):
-        log_v = self.log_abs_value
-        return math.inf if log_v > 709.0 else math.exp(log_v)
-
-    @property
-    def derivative(self):
-        log_d = self.log_abs_derivative
-        return math.copysign(math.inf if log_d > 709.0 else math.exp(log_d),
-                             self.scaled_derivative)
-
-    @property
-    def overflowed(self):
-        return self.log_abs_value > 709.0 or self.log_abs_derivative > 709.0
-
-
-def bessel_integer(kind, n, x):
-    """Integer-order modified Bessel value and derivative.
-
-    Parameters
-    ----------
-    kind : {"I", "K"}
-    n : int
-        Nonnegative order.
-    x : float
-        Positive finite argument.
-
-    Returns
-    -------
-    IntegerOrderEval
-        Carries the exponentially scaled pair, with log-magnitude forms,
-        so extreme arguments (where I_n overflows float64) remain usable;
-        the Wronskian I' K - I K' = 1/x stays verifiable in log scale.
-
-    Raises
-    ------
-    ValueError
-        If the scaled value or derivative is 0 or not finite in float64
-        (I_n at small x or large n, K_n at small x).
-    """
-    if kind not in ("I", "K"):
-        raise ValueError(f"kind must be 'I' or 'K', got {kind!r}")
-    if n < 0 or int(n) != n:
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"argument must be positive and finite, got x={x!r}")
-    n = int(n)
-    # ive(n, x) = e^{-x} I_n(x), kve(n, x) = e^{x} K_n(x), and
-    # I_n' = (I_{n-1} + I_{n+1})/2, K_n' = -(K_{n-1} + K_{n+1})/2 with the
-    # order -1 neighbour of n = 0 equal to order 1 for both kinds
-    scaled, sign = (ive, 1.0) if kind == "I" else (kve, -1.0)
-    value = float(scaled(n, x))
-    der = 0.5 * (float(scaled(abs(n - 1), x)) + float(scaled(n + 1, x)))
-    if not all(t != 0.0 and math.isfinite(t) for t in (value, der)):
-        raise ValueError(
-            f"{kind}_{n} at x={x!r} is beyond the float64 limit: its scaled "
-            f"value or derivative ({value!r}, {sign * der!r}) underflows "
-            "below 5e-324 or overflows past 1.8e308")
-    return IntegerOrderEval(kind=kind, n=n, x=x, scaled_value=value,
-                            scaled_derivative=sign * der)

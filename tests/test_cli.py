@@ -92,45 +92,12 @@ class TestBesselEval:
         assert rc == 1
         assert "float64" in err
 
-    def test_integer_kind(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "bessel-eval", "--kind", "Kn", "--n", "1",
-                         "--x", "2.5", "--out-dir", str(tmp_path))
-        assert rc == 0
-        doc = json.loads(out)
-        assert doc["value"] == pytest.approx(
-            specfun.bessel_integer("K", 1, 2.5).value, rel=1e-14)
-        assert "log_abs_value" in doc
-
-    def test_integer_kind_beyond_float64_is_domain_error(self, capsys,
-                                                         tmp_path):
-        rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n", "5",
-                           "--x", "1e-300", "--out-dir", str(tmp_path))
+    def test_integer_kinds_are_gone(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n", "2",
+                           "--x", "800", "--out-dir", str(tmp_path))
         assert rc == 1
+        assert "usage" in err
         assert out == ""
-        assert "float64" in err and "I_5" in err
-
-    def test_integer_kind_overflow_is_null(self, capsys, tmp_path):
-        # I_2(800) overflows float64; the log fields carry the magnitude
-        rc, out, _ = run(capsys, "bessel-eval", "--kind", "In", "--n", "2",
-                         "--x", "800", "--out-dir", str(tmp_path))
-        assert rc == 0
-        doc = strict_json(out)
-        assert doc["value"] is None and doc["derivative"] is None
-        assert doc["log_abs_value"] == pytest.approx(795.7364103874, rel=1e-12)
-
-    def test_integer_order_must_be_integer(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n",
-                           "1.5", "--x", "2", "--out-dir", str(tmp_path))
-        assert rc == 1
-        assert "usage" in err and "--n" in err
-        assert out == ""
-
-    def test_integer_kind_rejects_method(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "bessel-eval", "--kind", "In", "--n", "1",
-                           "--x", "2.5", "--method", "quad",
-                           "--out-dir", str(tmp_path))
-        assert rc == 1
-        assert "single evaluation path" in err
 
     def test_missing_order(self, capsys, tmp_path):
         rc, out, err = run(capsys, "bessel-eval", "--kind", "Kinu", "--x",
@@ -141,7 +108,7 @@ class TestBesselEval:
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("argv,flag", [
-    (["bessel-eval", "--kind", "In", "--n", "1", "--x", "{}"], "--x"),
+    (["bessel-eval", "--kind", "Kinu", "--nu", "0.3", "--x", "{}"], "--x"),
     (["kappa", "--n", "1", "--q", "{}"], "--q"),
     (["physical", "--alpha", "{}", "--q", "0.2", "--k", "0.1"], "--alpha"),
     (["solve", "--n", "1", "--q", "0.5", "--tol", "{}"], "--tol"),
@@ -253,6 +220,13 @@ class TestInnerSolve:
         assert manifest["command"] == "inner-solve"
         assert manifest["config"]["n"] == 1
 
+    def test_radius_inside_series_cut_is_domain_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "inner-solve", "--n", "1", "--r-max",
+                           "0.0005", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "R_START" in err
+        assert out == ""
+
 
 class TestKappa:
     def test_auto_cn(self, capsys, tmp_path):
@@ -331,6 +305,13 @@ class TestSolveAndSweep:
         assert data.shape == (3, 8)
         assert np.all(np.diff(data[:, 1]) < 0)
         assert np.allclose(data[:, 2], np.log(data[:, 1]), atol=1e-12)
+
+    def test_negative_radius_is_domain_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                           "--r-max", "-3", "--out-dir", str(tmp_path),
+                           "--quiet")
+        assert rc == 1
+        assert "R_START" in err
 
     def test_sweep_partial_failure_exit_two(self, capsys, tmp_path):
         rc, out, err = run(capsys, "sweep", "--n", "1", "--q-list",

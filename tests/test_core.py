@@ -5,6 +5,8 @@ independent methods (bisection shooting and collocation, agreeing to
 1e-12) in an offline run; they are frozen here as regression anchors.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -188,6 +190,13 @@ def test_invalid_arm_count():
         core.solve_profile(0)
     with pytest.raises(ValueError):
         core.solve_profile(-2)
+
+
+@pytest.mark.parametrize("r_max", [5e-4, core.R_START, -1.0, math.inf,
+                                   math.nan])
+def test_refuses_radius_inside_series_cut(r_max):
+    with pytest.raises(ValueError, match=r"core\.R_START = 0\.001"):
+        core.solve_profile(1, r_max=r_max)
 
 
 def test_tail_constant_outside_range_rejected():

@@ -160,6 +160,16 @@ def test_sweep_isolates_failures():
     assert reports[1].message
 
 
+def test_sweep_through_zero_twist_restarts_cold():
+    # q = 0 has no asymptotic law to warm-start from, and its k = 0 seeds
+    # nothing, so -0.5 solves cold and lands on the mirror of +0.5
+    reports = solver.wavenumber_sweep(1, [0.5, 0.0, -0.5])
+    assert [r.status for r in reports] == [0, 0, 0]
+    assert reports[1].k_numeric == 0.0
+    assert reports[2].k_numeric == reports[0].k_numeric
+    assert reports[2].r_max == reports[0].r_max
+
+
 def test_refuses_twist_beyond_domain_budget():
     # the budget admits cold solves down to q ~ 0.142, 0.078 and 0.054 for
     # n = 1, 2, 3; the refusal comes before any solve
@@ -183,6 +193,17 @@ def test_init_validation():
         solver.solve_spiral(1, 0.5, init=(0.5, 1.5))
     with pytest.raises(ValueError):
         solver.solve_spiral(1, 0.5, init=(-0.1, 0.1))
+    for c_f in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="out of range"):
+            solver.solve_spiral(1, 0.5, init=(c_f, 0.1))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.0])
+@pytest.mark.parametrize("r_max", [0.0, -3.0, 5e-4, core.R_START, math.inf,
+                                   math.nan])
+def test_refuses_radius_inside_series_cut(q, r_max):
+    with pytest.raises(ValueError, match=r"core\.R_START = 0\.001"):
+        solver.solve_spiral(1, q, r_max=r_max)
 
 
 def test_system_residual_on_converged_profile(base):

@@ -1,9 +1,11 @@
 """Print a bit-level fingerprint of a fixed set of twisted solves.
 
 One line per case: the case, k as ``float.hex``, the collocation mesh
-node count and the Newton iteration count (or the error a refused case
-raises).  Two trees give the same output exactly when every case keeps
-its k bit for bit, its mesh and its iteration count, so a refactor that
+node count and the report's ``newton_iterations`` (or the error a refused
+case raises).  That count is solve_bvp's ``niter``, the number of
+mesh-refinement passes of the last matching-radius attempt, not of Newton
+steps.  Two trees give the same output exactly when every case keeps its
+k bit for bit, its mesh and its pass count, so a refactor that
 claims bit-identity is checked with
 
     PYTHONPATH=src python3 tools/fingerprint.py > new.txt
