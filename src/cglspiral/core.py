@@ -33,13 +33,15 @@ from scipy.interpolate import CubicSpline
 
 __all__ = [
     "CoreProfile", "TailConstant", "core_series", "core_series_dc",
-    "series_moment", "origin_slope", "piecewise", "far_profile",
+    "series_moment", "series_moment_dp", "origin_slope", "origin_law",
+    "piecewise", "far_profile",
     "solve_profile", "v_inner", "tail_constant", "property_scan",
 ]
 
 # series cut: every collocation solve enters the origin through
-# core_series at this radius
-R_START = 1e-3
+# core_series at this radius; the series of f and f' and the moment heads
+# are accurate there to about 3e-15 and 1e-9 relative
+R_START = 1e-2
 # collocation node budget of every solve_bvp call
 MAX_NODES = 200000
 
@@ -77,14 +79,46 @@ def _series_coefficients(n, c):
     return a2, -a2 / (8.0 * (n + 2)), 0.0
 
 
+def _moment_heads(n, r):
+    """(p2, p4): the head of int_0^r xi f^2 per c^2 through relative order
+    r^2, and the leading term of int_0^r xi f^4 per c^4, which is of that
+    order at n = 1 and smaller at n >= 2."""
+    a2 = -1.0 / (4.0 * (n + 1))
+    p2 = (r ** (2 * n + 2) / (2 * n + 2)
+          + 2.0 * a2 * r ** (2 * n + 4) / (2 * n + 4))
+    return p2, r ** (4 * n + 2) / (4 * n + 2)
+
+
 def series_moment(n, c, k2, r):
-    """Head c^2 (1 - k^2) r^(2n+2)/(2n+2) of the moments below the cut."""
-    return c * c * (1.0 - k2) * r ** (2 * n + 2) / (2 * n + 2)
+    """Head of the moment int_0^r xi f^2 (1 - f^2 - k^2) below the cut."""
+    p2, p4 = _moment_heads(n, r)
+    return c * c * (1.0 - k2) * p2 - c ** 4 * p4
+
+
+def series_moment_dp(n, c, k2, r):
+    """Derivatives of :func:`series_moment` in c and in k^2."""
+    p2, p4 = _moment_heads(n, r)
+    return 2.0 * c * (1.0 - k2) * p2 - 4.0 * c ** 3 * p4, -c * c * p2
 
 
 def origin_slope(n, q, k):
-    """The origin law v ~ origin_slope * r of the phase gradient."""
+    """The leading origin law v ~ origin_slope * r of the phase gradient."""
     return -q * (1.0 - k ** 2) / (2 * n + 2)
+
+
+def origin_law(n, q, k, c, r):
+    """Phase gradient below the cut, v = w / (r f^2) from the origin
+    series, through relative order r^2:
+
+        v = s r (1 + r^2 / (2 (n+1)(n+2))) + q c^2 r^(2n+1) / (4n+2),
+
+    s = origin_slope(n, q, k); the last term, from the f^4 head, reaches
+    order r^3 only at n = 1.
+    """
+    r = np.asarray(r, dtype=float)
+    s = origin_slope(n, q, k)
+    return (s * r * (1.0 + r * r / (2.0 * (n + 1) * (n + 2)))
+            + q * c * c * r ** (2 * n + 1) / (4 * n + 2))
 
 
 def piecewise(r, r_lo, r_hi, below, inside, beyond):
@@ -115,14 +149,26 @@ def cumulative_midpoint_simpson(r, node, mid, head):
     return head + np.concatenate([[0.0], np.cumsum(seg)])
 
 
+def _tail_coefficients(n):
+    """(b2, b4) of the algebraic tail f = 1 - b2/r^2 - b4/r^4."""
+    n2 = float(n * n)
+    return 0.5 * n2, n2 + n2 * n2 / 8.0
+
+
 def far_profile(n, r):
     """Algebraic far-field form of the profile and its slope."""
     r = np.asarray(r, dtype=float)
-    n2 = float(n * n)
-    b4 = n2 + n2 * n2 / 8.0
-    f = 1.0 - n2 / (2.0 * r * r) - b4 / r ** 4
-    df = n2 / r ** 3 + 4.0 * b4 / r ** 5
+    b2, b4 = _tail_coefficients(n)
+    f = 1.0 - b2 / (r * r) - b4 / r ** 4
+    df = 2.0 * b2 / r ** 3 + 4.0 * b4 / r ** 5
     return f, df
+
+
+def _tail_floor(n):
+    """Radius below which :func:`far_profile`'s f is not positive."""
+    b2, b4 = _tail_coefficients(n)
+    x = (math.sqrt(b2 * b2 + 4.0 * b4) - b2) / (2.0 * b4)
+    return 1.0 / math.sqrt(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +197,8 @@ class CoreProfile:
         grid = np.geomspace(self.r_start, self.r_max, 30001)
         f = self.sol(grid)[0]
         vals = cumulative_simpson(grid * f * f, x=grid, initial=0.0)
-        vals += series_moment(self.n, self.c_f, 0.0, self.r_start)
+        # the head of int xi f^2 alone: no f^4 term
+        vals += self.c_f ** 2 * _moment_heads(self.n, self.r_start)[0]
         return CubicSpline(grid, vals)
 
     def _piece(self, r, i):
@@ -181,8 +228,11 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     """Solve the core equation for an n-armed profile by collocation.
 
     The rise coefficient c_f is carried as the unknown parameter; the
-    origin is entered through the exact series at R_START (three orders
-    deep) and the far end through the algebraic tail at r_max.
+    origin is entered through the exact series at the cut R_START = 1e-2
+    (f, f' three orders deep, the moment two) and the far end through the
+    algebraic tail at r_max.  An r_max where that tail's f is not in
+    (0, 1) is refused with the radius it needs, and a converged c_f <= 0
+    raises: neither is a profile.
 
     Returns
     -------
@@ -194,6 +244,12 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
         raise ValueError(f"r_max must be finite and above the series cut "
                          f"core.R_START = {R_START:g}, got {r_max!r}")
     n = int(n)
+    far_f, _ = far_profile(n, r_max)
+    if not 0.0 < far_f < 1.0:
+        raise ValueError(
+            f"r_max = {r_max!r} is below the algebraic tail's floor: its f "
+            f"there is {float(far_f):.4g}, outside (0, 1); n = {n} needs "
+            f"r_max > {_tail_floor(n):.6g}")
 
     def rhs(r, y, p):
         f, g = y[0], y[1]
@@ -203,8 +259,6 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
             -g / r + n * n * f / (r * r) - f * omf2,
             r * f * f * omf2,
         ])
-
-    far_f, _ = far_profile(n, r_max)
 
     def bc(ya, yb, p):
         c = p[0]
@@ -226,6 +280,9 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     if sol.status != 0:
         raise RuntimeError(f"collocation failed: {sol.message}")
     c_f = float(sol.p[0])
+    if not c_f > 0.0:
+        raise RuntimeError(f"collocation converged to c_f = {c_f:.6g} at "
+                           f"r_max = {r_max!r}, which is not a profile")
     ya = sol.y[:, 0]
     yb = sol.y[:, -1]
     bc_res = float(np.max(np.abs(bc(ya, yb, sol.p))))
@@ -240,8 +297,8 @@ def v_inner(profile, q, k, r):
     """Slow phase gradient induced by the core profile.
 
     v(r) = -q (I1(r) - k^2 I2(r)) / (r f^2), from the once-integrated
-    angular-flux balance; below the cut it follows the origin law
-    v ~ origin_slope * r, and past r_max the moments refuse to be read.
+    angular-flux balance; below the cut it follows :func:`origin_law`,
+    and past r_max the moments refuse to be read.
     """
     def from_moments(x):
         i1, i2 = profile.moments(x)
@@ -249,7 +306,7 @@ def v_inner(profile, q, k, r):
         return -q * (i1 - k * k * i2) / (x * fx * fx)
 
     return piecewise(r, profile.r_start, math.inf,
-                     lambda x: origin_slope(profile.n, q, k) * x,
+                     lambda x: origin_law(profile.n, q, k, profile.c_f, x),
                      from_moments, None)
 
 
@@ -290,8 +347,8 @@ def v_inner_by_ode(profile, q, k, r_grid):
     """Same slow phase gradient, by direct integration of its own equation.
 
     f v' + (f/r + 2 f') v + q f (1 - f^2 - k^2) = 0, started from the
-    linear origin behavior at the collocation cut (its truncation error
-    decays outward like r^-(2n+1)); exists as an independent cross-check
+    origin law at the collocation cut (its truncation error decays
+    outward like r^-(2n+1)); exists as an independent cross-check
     of :func:`v_inner`, never as the production route.
     """
     n = profile.n
@@ -299,7 +356,7 @@ def v_inner_by_ode(profile, q, k, r_grid):
     r0 = profile.r_start
     if r_grid[0] < r0:
         raise ValueError("cross-check grid must start at or above the cut")
-    v0 = origin_slope(n, q, k) * r0
+    v0 = origin_law(n, q, k, profile.c_f, r0)
 
     def rhs(r, y):
         f = profile.f(r)
@@ -320,7 +377,8 @@ def property_scan(profile):
     r^4 coefficient of 1 - f^2 - n^2/r^2 at r_max/2 and r_max/4 (should
     be 2 n^2); the measured r^3 df coefficient at r_max/2 (should be
     n^2); the phase-gradient slope v/r read from the collocated moments
-    at 2 r_start, against the origin law -1/(2n+2); and the fitted
+    at 2 r_start, against :func:`origin_law` there (at q = 1, k = 0,
+    whose leading slope is -1/(2n+2)); and the fitted
     envelope constant of |v| / (q (1 + log(1+r^2)) / (1+r)).
     """
     n = profile.n
@@ -350,6 +408,7 @@ def property_scan(profile):
         "df_r3_coeff": float(df_coeff(r_probe)),
         "df_r3_expected": n2,
         "origin_slope": float(slope),
-        "origin_slope_expected": origin_slope(n, 1.0, 0.0),
+        "origin_slope_expected": float(
+            origin_law(n, 1.0, 0.0, profile.c_f, r_lin) / r_lin),
         "v_envelope_constant": float(np.max(vgrid / envelope)),
     }

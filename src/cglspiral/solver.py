@@ -88,25 +88,30 @@ class RadialProfile:
         """sup |w + q I| over the grid (exact identity on solutions)."""
         return float(np.max(np.abs(self.w + self.q * self.integral)))
 
+    def _piece(self, r, below, inside, frozen):
+        # the frozen piece covers r >= r_max itself, so the interpolant is
+        # read on [r_start, r_max) only
+        return core.piecewise(r, self.r_start,
+                              np.nextafter(self.r_max, -math.inf),
+                              below, inside, lambda x: frozen)
+
     def f_at(self, r):
         """Amplitude at radii r: series below r_start, interpolant on the
-        grid, frozen at f[-1] past r_max."""
-        return core.piecewise(
-            r, self.r_start, self.r_max,
-            lambda x: core.core_series(self.n, self.c_f, x)[0],
-            lambda x: self.interpolant(x)[0], lambda x: self.f[-1])
+        grid, frozen at f[-1] from r_max on."""
+        return self._piece(
+            r, lambda x: core.core_series(self.n, self.c_f, x)[0],
+            lambda x: self.interpolant(x)[0], self.f[-1])
 
     def v_at(self, r):
-        """Phase gradient at radii r, origin-regular below r_start and
-        frozen at v[-1] past r_max."""
+        """Phase gradient at radii r: the origin law below r_start, w/(r f^2)
+        on the grid, frozen at v[-1] from r_max on."""
         def from_w(x):
             y = self.interpolant(x)
             return y[2] / (x * y[0] * y[0] + _TINY)
 
-        slope = core.origin_slope(self.n, self.q, self.k)
-        return core.piecewise(r, self.r_start, self.r_max,
-                              lambda x: slope * x, from_w,
-                              lambda x: self.v[-1])
+        return self._piece(
+            r, lambda x: core.origin_law(self.n, self.q, self.k, self.c_f, x),
+            from_w, self.v[-1])
 
 
 @dataclass
@@ -179,6 +184,10 @@ def cgl_lambda_omega(q, k, Omega):
 
 
 def _series_start(n, q, c, k2):
+    # the twist's v^2 adds origin_slope^2 / (8 (n+2)) to the r^4
+    # coefficient of f; at R_START that is at most 2.2e-11 of f for
+    # |q| <= 1 and moves no k by more than rounding, so the untwisted
+    # series serves
     fs, dfs = core.core_series(n, c, core.R_START)
     return fs, dfs, -q * core.series_moment(n, c, k2, core.R_START)
 
@@ -186,11 +195,10 @@ def _series_start(n, q, c, k2):
 def _series_start_dp(n, q, c, k2):
     """Derivatives of the rows of :func:`_series_start` in (c_f, log k)."""
     fs_c, dfs_c = core.core_series_dc(n, c, core.R_START)
-    # w0 = -q c^2 (1 - k^2) head
-    head = core.R_START ** (2 * n + 2) / (2 * n + 2)
+    m_c, m_k2 = core.series_moment_dp(n, c, k2, core.R_START)
+    # w0 = -q series_moment, and d(k^2)/d(log k) = 2 k^2
     return np.array([[fs_c, 0.0], [dfs_c, 0.0],
-                     [-2.0 * q * c * (1.0 - k2) * head,
-                      2.0 * q * c * c * k2 * head]])
+                     [-q * m_c, -2.0 * q * k2 * m_k2]])
 
 
 def _rhs(n, q, k, r, y):

@@ -227,6 +227,14 @@ class TestInnerSolve:
         assert "R_START" in err
         assert out == ""
 
+    def test_radius_below_tail_floor_is_domain_error(self, capsys,
+                                                      tmp_path):
+        rc, out, err = run(capsys, "inner-solve", "--n", "1", "--r-max",
+                           "1.0", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "needs r_max > 1.15746" in err
+        assert out == ""
+
 
 class TestKappa:
     def test_auto_cn(self, capsys, tmp_path):
@@ -269,6 +277,16 @@ class TestSolveAndSweep:
         assert data.shape[1] == 6
         f = data[:, 1]
         assert np.all(np.diff(f) > 0)
+
+    def test_solve_at_tight_tolerance(self, capsys, tmp_path):
+        # once stopped on the node budget with nodes piled at the series cut
+        rc, out, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                         "--tol", "1e-11", "--out-dir", str(tmp_path),
+                         "--quiet")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["status"] == 0 and doc["tol"] == 1e-11
+        assert doc["k_numeric"] == pytest.approx(0.0936689780, abs=1e-6)
 
     def test_solve_determinism(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,7 @@ independent methods (bisection shooting and collocation, agreeing to
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,11 +193,36 @@ def test_invalid_arm_count():
         core.solve_profile(-2)
 
 
-@pytest.mark.parametrize("r_max", [5e-4, core.R_START, -1.0, math.inf,
-                                   math.nan])
+@pytest.mark.parametrize("r_max", [5e-4, 1e-3, core.R_START, -1.0,
+                                   math.inf, math.nan])
 def test_refuses_radius_inside_series_cut(r_max):
-    with pytest.raises(ValueError, match=r"core\.R_START = 0\.001"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"core.R_START = {core.R_START:g}")):
         core.solve_profile(1, r_max=r_max)
+
+
+@pytest.mark.parametrize("n, r_max", [(1, 0.05), (1, 1.0), (1, 1.15),
+                                      (2, 1.9), (3, 2.5)])
+def test_refuses_radius_below_tail_floor(n, r_max):
+    # there the algebraic tail imposes f <= 0; a solve at r_max = 1.0 once
+    # "converged" to c_f = -0.697
+    with pytest.raises(ValueError, match=r"algebraic tail's floor.*"
+                                         r"outside \(0, 1\).*needs r_max >"):
+        core.solve_profile(n, r_max=r_max)
+
+
+def test_refuses_nonpositive_rise_coefficient(monkeypatch):
+    # a collocation that converges to c_f <= 0 has not found a profile
+    real = core.solve_bvp
+
+    def flipped(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.p = -sol.p
+        return sol
+
+    monkeypatch.setattr(core, "solve_bvp", flipped)
+    with pytest.raises(RuntimeError, match="c_f = -0.58.*not a profile"):
+        core.solve_profile(1, r_max=21.0)
 
 
 def test_tail_constant_outside_range_rejected():
@@ -256,5 +282,39 @@ def test_origin_law_in_one_place():
     slope = core.origin_slope(2, 0.5, 0.1)
     assert slope == -0.5 * (1.0 - 0.1 ** 2) / 6
     r = 0.25 * p.r_start
-    assert core.v_inner(p, 0.5, 0.1, r) == slope * r
-    assert core.series_moment(2, 0.3, 0.0, 0.1) == 0.3 * 0.3 * 0.1 ** 6 / 6
+    law = core.origin_law(2, 0.5, 0.1, p.c_f, r)
+    assert core.v_inner(p, 0.5, 0.1, r) == law
+    assert law == pytest.approx(
+        slope * r * (1.0 + r * r / 24.0) + 0.5 * p.c_f ** 2 * r ** 5 / 10,
+        rel=1e-15)
+    assert core.series_moment(2, 0.3, 0.0, 0.1) == pytest.approx(
+        0.3 ** 2 * (0.1 ** 6 / 6 - 0.1 ** 8 / 48) - 0.3 ** 4 * 0.1 ** 10 / 10,
+        rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_head_matches_quadrature_of_series(n):
+    # the head of int xi f^2 (1 - f^2 - k^2) against adaptive quadrature of
+    # the three-order series of f: at the cut its truncation is O(r^4)
+    # relative, where the leading term alone is off by 3.9e-5 at n = 1
+    c, k2, r = CF_FROZEN[n], 0.04, core.R_START
+
+    def integrand(x):
+        f = core.core_series(n, c, x)[0]
+        return x * f * f * (1.0 - f * f - k2)
+
+    ref, _ = quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13)
+    assert core.series_moment(n, c, k2, r) == pytest.approx(ref, rel=1e-8)
+
+
+def test_series_moment_derivatives_match_complex_step():
+    r, h = np.array([1e-3, 1e-2, 0.1]), 1e-30
+    for n in (1, 2, 3):
+        c, k2 = CF_FROZEN[n], 0.09
+        m_c, m_k2 = core.series_moment_dp(n, c, k2, r)
+        np.testing.assert_allclose(
+            m_c, core.series_moment(n, c + 1j * h, k2, r).imag / h,
+            rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            m_k2, core.series_moment(n, c, k2 + 1j * h, r).imag / h,
+            rtol=1e-14, atol=0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -199,10 +200,11 @@ def test_init_validation():
 
 
 @pytest.mark.parametrize("q", [0.5, 0.0])
-@pytest.mark.parametrize("r_max", [0.0, -3.0, 5e-4, core.R_START, math.inf,
-                                   math.nan])
+@pytest.mark.parametrize("r_max", [0.0, -3.0, 5e-4, 1e-3, core.R_START,
+                                   math.inf, math.nan])
 def test_refuses_radius_inside_series_cut(q, r_max):
-    with pytest.raises(ValueError, match=r"core\.R_START = 0\.001"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"core.R_START = {core.R_START:g}")):
         solver.solve_spiral(1, q, r_max=r_max)
 
 
@@ -418,9 +420,11 @@ def test_mirror_twists_share_the_mesh():
         assert plus.r_grid.size < 5000, q
 
 
-def test_three_arm_solve_at_small_twist():
-    plus, rep_p = solver.solve_spiral(3, 0.3)
-    minus, rep_m = solver.solve_spiral(3, -0.3)
+def _assert_mirror_pair(n, q):
+    # both signs converge, meet the first-integral and far-field guarantees
+    # and are mirrors bit for bit
+    plus, rep_p = solver.solve_spiral(n, q)
+    minus, rep_m = solver.solve_spiral(n, -q)
     for prof, rep in ((plus, rep_p), (minus, rep_m)):
         assert rep.status == 0 and not rep.properties["suspect"]
         assert prof.first_integral_gap() <= 1e-9
@@ -430,16 +434,38 @@ def test_three_arm_solve_at_small_twist():
     assert np.array_equal(plus.v, -minus.v)
 
 
-# Standing faults, pinned until the fix of ROADMAP item 3 flips them.
+def test_three_arm_solve_at_small_twist():
+    _assert_mirror_pair(3, 0.3)
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: n = 3 fails at q = 0.5: solve_spiral(3, 0.5) stops with 'The "
-    "maximum number of mesh nodes is exceeded', though |q| = 0.3 and 0.25 "
-    "converge on 3.1k nodes"))
-def test_three_arm_solve_converges():
-    _, report = solver.solve_spiral(3, 0.5)
-    assert report.status == 0
 
+@pytest.mark.parametrize("q", [0.35, 0.4, 0.5, 0.6, 0.7])
+def test_three_arm_solve_converges(q):
+    # each twist at both signs; with the series cut at 1e-3 every one of
+    # these stopped on the node budget; q = 0.8 and 1.0 are still out of
+    # reach (ROADMAP item 3)
+    _assert_mirror_pair(3, q)
+
+
+def test_tight_tolerance_converges(base):
+    # at tol = 1e-11 the solve once piled 163k nodes just outside the
+    # series cut and stopped on the node budget
+    _, rep = solver.solve_spiral(1, 0.5, tol=1e-11)
+    _, ref = base
+    assert rep.status == 0
+    assert rep.k_numeric == pytest.approx(ref.k_numeric, rel=1e-10)
+
+
+def test_phase_gradient_continuous_at_series_cut(base):
+    # below the cut v_at follows the origin law through order r^3, whose
+    # truncation there is O(r^4) relative; the leading law alone jumps by
+    # 1.4e-5 relative
+    prof, _ = base
+    rs = prof.r_start
+    below = prof.v_at(rs * (1.0 - 1e-12))
+    assert below == pytest.approx(prof.v_at(rs), rel=1e-8)
+
+
+# Standing fault, pinned until the fix of ROADMAP item 3 flips it.
 
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: the n = 1 solve misses its own first-integral tolerance at small "

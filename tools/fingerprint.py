@@ -14,7 +14,8 @@ claims bit-identity is checked with
 The cases are cold n = 1 solves across both signs of q and past q = 1,
 explicit matching radii on either side of the validated window, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
-and the benchmark's unjittered 15-twist n = 1 sweep.  The other producers
+n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, and the
+benchmark's unjittered 15-twist n = 1 sweep.  The other producers
 of the radial-profile record follow: the untwisted q = 0 solves, with the
 last value of their first integral, and one march from the origin at the
 converged n = 1, q = 0.5 solve, with the last values of its first integral
@@ -29,10 +30,12 @@ from pathlib import Path
 from cglspiral import field, solver
 
 SOLVES = [
-    (1, 0.5, None), (1, -0.5, None), (1, 0.9, None), (1, 1.2, None),
-    (1, 1.5, None), (1, 0.5, 1500.0), (1, 0.5, 30000.0),
-    *((2, s * q, None) for q in (0.5, 0.4, 0.35, 0.3, 0.28, 0.6)
+    *((1, q, {"r_max": None}) for q in (0.5, -0.5, 0.9, 1.2, 1.5)),
+    (1, 0.5, {"r_max": 1500.0}), (1, 0.5, {"r_max": 30000.0}),
+    *((2, s * q, {"r_max": None}) for q in (0.5, 0.4, 0.35, 0.3, 0.28, 0.6)
       for s in (1, -1)),
+    (3, 0.5, {"r_max": None}), (3, -0.5, {"r_max": None}),
+    (1, 0.5, {"tol": 1e-11}),
 ]
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
 
@@ -43,10 +46,11 @@ def _line(label, profile, report):
 
 
 def main():
-    for n, q, r_max in SOLVES:
-        label = f"solve_spiral({n}, {q}, r_max={r_max})"
+    for n, q, kwargs in SOLVES:
+        args = ", ".join(f"{key}={val}" for key, val in kwargs.items())
+        label = f"solve_spiral({n}, {q}, {args})"
         try:
-            print(_line(label, *solver.solve_spiral(n, q, r_max=r_max)))
+            print(_line(label, *solver.solve_spiral(n, q, **kwargs)))
         except (ValueError, RuntimeError) as exc:
             print(f"{label}: {type(exc).__name__}: {exc}")
 
