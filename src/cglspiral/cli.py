@@ -405,7 +405,8 @@ def _selfcheck_rows():
     add("selection formula composition", abs(recon), 1e-12)
 
     profile, rep = solver.solve_spiral(1, 0.5)
-    add("twisted solve first integral gap", profile.first_integral_gap(), 1e-9)
+    add("twisted solve first integral gap", profile.first_integral_gap(),
+        solver.FIRST_INTEGRAL_BOUND)
     add("twisted solve boundary mismatch",
         max(abs(rep.boundary_residuals[0]), abs(rep.boundary_residuals[1])),
         1e-6)

@@ -21,6 +21,17 @@ selection formula consumes.
 Everything here is solved by collocation (scipy solve_bvp) with the
 origin behavior imposed through the exact power-series boundary condition
 at a small cut radius and the algebraic tail imposed at the far end.
+The collocated rows are (f, z, I1), not (f, f', I1), with the slope lifted
+by its origin law:
+
+    z = f' - n u^2 f / r,  u = 1 / (1 + r).
+
+solve_bvp's Newton stops only when every collocation residual is below
+about 0.033 h tol (1 + |rhs|), some 4e-17 next to the cut at tol = 1e-11.
+At n = 1 the slope there is f' ~ c_f ~ 0.58, so the f' row sits at its
+round-off, above that test, and every mesh pass would spend scipy's cap of
+four Jacobians; z is O(r^n) there and tends to f' as r grows, so no row
+cancels at either end.
 """
 
 import math
@@ -44,6 +55,18 @@ __all__ = [
 R_START = 1e-2
 # collocation node budget of every solve_bvp call
 MAX_NODES = 200000
+# smallest tolerance solve_bvp honours: below 100 machine epsilons it
+# warns, solves at this floor instead and runs to the node budget
+TOL_FLOOR = 100.0 * np.finfo(float).eps
+
+
+def check_tol(tol):
+    """Refuse a collocation tolerance that is not finite or below
+    TOL_FLOOR, naming the floor."""
+    if not (math.isfinite(tol) and tol >= TOL_FLOOR):
+        raise ValueError(f"tol must be finite and at least core.TOL_FLOOR = "
+                         f"{TOL_FLOOR:.3g} (100 machine epsilons, the floor "
+                         f"of solve_bvp), got {tol!r}")
 
 
 def core_series(n, c, r):
@@ -171,12 +194,29 @@ def _tail_floor(n):
     return 1.0 / math.sqrt(x)
 
 
+def _slope_lift(n, r):
+    """a = n u^2 / r with u = 1/(1+r), the weight of the core solve's
+    slope row z = f' - a f."""
+    return n / (r * (1.0 + r) ** 2)
+
+
+def _lift_gain(n, r):
+    """n^2/r^2 - a' - a/r - a^2 for a = :func:`_slope_lift`, the f
+    coefficient of z' = gain f - (1/r + a) z - f (1 - f^2), written
+    without the n^2/r^2 cancellation."""
+    u = 1.0 / (1.0 + r)
+    return n * (n * u ** 4 * (4.0 + r * (6.0 + r * (4.0 + r)))
+                + 2.0 * u ** 3) / r
+
+
 @dataclass(frozen=True, eq=False)
 class CoreProfile:
     """Solved core profile with its cumulative moments.
 
     f and f' are piecewise: the power series below the collocation cut,
     the collocation spline on [r_start, r_max], the algebraic tail beyond.
+    ``sol`` holds the collocated rows (f, z, I1); f' = z + n u^2 f / r is
+    formed from them in one place, ``_inside``.
     """
 
     n: int
@@ -201,10 +241,15 @@ class CoreProfile:
         vals += self.c_f ** 2 * _moment_heads(self.n, self.r_start)[0]
         return CubicSpline(grid, vals)
 
+    def _inside(self, r):
+        # the collocation rows are (f, z, I1) with z = f' - a f
+        f, z = self.sol(r)[:2]
+        return f, z + _slope_lift(self.n, r) * f
+
     def _piece(self, r, i):
         return piecewise(r, self.r_start, self.r_max,
                          lambda x: core_series(self.n, self.c_f, x)[i],
-                         lambda x: self.sol(x)[i],
+                         lambda x: self._inside(x)[i],
                          lambda x: far_profile(self.n, x)[i])
 
     def f(self, r):
@@ -230,9 +275,14 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     The rise coefficient c_f is carried as the unknown parameter; the
     origin is entered through the exact series at the cut R_START = 1e-2
     (f, f' three orders deep, the moment two) and the far end through the
-    algebraic tail at r_max.  An r_max where that tail's f is not in
-    (0, 1) is refused with the radius it needs, and a converged c_f <= 0
-    raises: neither is a profile.
+    algebraic tail at r_max.  The slope is collocated as the lifted row
+    z = f' - n f / (r (1 + r)^2), whose round-off near the cut lies far
+    below solve_bvp's Newton stopping test (see the module notes), and
+    :meth:`CoreProfile.df` turns it back into f'.  Newton runs on the exact
+    Jacobians of the rows and of the boundary conditions.  An r_max where
+    the tail's f is not in (0, 1) is refused with the radius it needs, a
+    tol not finite or below TOL_FLOOR is refused naming it, and a
+    converged c_f <= 0 raises: none is a profile.
 
     Returns
     -------
@@ -243,6 +293,7 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     if not R_START < r_max < math.inf:
         raise ValueError(f"r_max must be finite and above the series cut "
                          f"core.R_START = {R_START:g}, got {r_max!r}")
+    check_tol(tol)
     n = int(n)
     far_f, _ = far_profile(n, r_max)
     if not 0.0 < far_f < 1.0:
@@ -252,31 +303,55 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
             f"r_max > {_tail_floor(n):.6g}")
 
     def rhs(r, y, p):
-        f, g = y[0], y[1]
+        f, z = y[0], y[1]
+        a = _slope_lift(n, r)
         omf2 = 1.0 - f * f
         return np.vstack([
-            g,
-            -g / r + n * n * f / (r * r) - f * omf2,
+            z + a * f,
+            _lift_gain(n, r) * f - (1.0 / r + a) * z - f * omf2,
             r * f * f * omf2,
         ])
+
+    def fun_jac(r, y, p):
+        f = y[0]
+        a = _slope_lift(n, r)
+        zero, one = np.zeros_like(f), np.ones_like(f)
+        df_dy = np.array([
+            [a, one, zero],
+            [_lift_gain(n, r) - 1.0 + 3.0 * f * f, -(1.0 / r + a), zero],
+            [r * f * (2.0 - 4.0 * f * f), zero, zero],
+        ])
+        return df_dy, np.zeros((3, 1, r.size))
+
+    a_start = _slope_lift(n, R_START)
 
     def bc(ya, yb, p):
         c = p[0]
         fs, gs = core_series(n, c, R_START)
         return np.array([
             ya[0] - fs,
-            ya[1] - gs,
+            ya[1] - (gs - a_start * fs),
             ya[2] - series_moment(n, c, 0.0, R_START),
             yb[0] - far_f,
         ])
 
+    def bc_jac(ya, yb, p):
+        c = p[0]
+        fs_c, gs_c = core_series_dc(n, c, R_START)
+        m_c, _ = series_moment_dp(n, c, 0.0, R_START)
+        dbc_dyb = np.zeros((4, 3))
+        dbc_dyb[3, 0] = 1.0
+        dbc_dp = -np.array([[fs_c], [gs_c - a_start * fs_c], [m_c], [0.0]])
+        return np.eye(4, 3), dbc_dyb, dbc_dp
+
     r = np.geomspace(R_START, r_max, n_mesh)
     c0 = 0.6 * 4.0 ** (1 - n)
     f_init = np.tanh(np.clip(c0 * r ** n, 0.0, 20.0))
-    g_init = np.gradient(f_init, r)
+    z_init = np.gradient(f_init, r) - _slope_lift(n, r) * f_init
     i1_init = np.maximum(n * n * np.log(r), 0.0)
-    y = np.vstack([f_init, g_init, i1_init])
-    sol = solve_bvp(rhs, bc, r, y, p=[c0], tol=tol, max_nodes=MAX_NODES)
+    y = np.vstack([f_init, z_init, i1_init])
+    sol = solve_bvp(rhs, bc, r, y, p=[c0], tol=tol, fun_jac=fun_jac,
+                    bc_jac=bc_jac, max_nodes=MAX_NODES)
     if sol.status != 0:
         raise RuntimeError(f"collocation failed: {sol.message}")
     c_f = float(sol.p[0])

@@ -49,6 +49,8 @@ MAX_DOMAIN = 1e5
 # the domain (and node count) grows, and [0.5, 2] is the validated window
 R_MATCH_TARGET = 1.6
 R_MATCH_WINDOW = (0.5, 2.0)
+# stated bound on sup |w + q I|, the first integral's gap
+FIRST_INTEGRAL_BOUND = 1e-9
 
 
 @dataclass
@@ -340,7 +342,8 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
 
 
 def _check_properties(profile, report):
-    """Pointwise structure checks; violations mark the solve suspect."""
+    """Pointwise structure checks and the first-integral bound;
+    violations mark the solve suspect."""
     k2 = profile.k * profile.k
     cap = math.sqrt(1.0 - k2)
     f, v = profile.f, profile.v
@@ -351,6 +354,7 @@ def _check_properties(profile, report):
         "far_slope_small": bool(abs(profile.df[-1]) <=
                                 100.0 * (profile.n ** 2 / profile.r_max ** 3
                                          + profile.k * k2 * abs(profile.q))),
+        "first_integral": profile.first_integral_gap() <= FIRST_INTEGRAL_BOUND,
     }
     props["suspect"] = not all(props.values())
     report.properties = props
@@ -386,6 +390,7 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     iterate outside its domain fails the solve with its reason, and the
     report's boundary residuals are the endpoint's distance from it.
     """
+    core.check_tol(tol)
     if r_max is not None and not core.R_START < r_max < math.inf:
         raise ValueError(f"r_max must be finite and above the series cut "
                          f"core.R_START = {core.R_START:g}, got {r_max!r}")
@@ -444,6 +449,7 @@ def wavenumber_sweep(n, q_list, tol=1e-10):
     failures are isolated: the report row carries the error message and
     the sweep continues.
     """
+    core.check_tol(tol)
     qs = list(q_list)
     if any(b >= a for a, b in zip(qs, qs[1:])):
         raise ValueError(f"sweep twists must be strictly descending, got {qs}")

@@ -288,6 +288,19 @@ class TestSolveAndSweep:
         assert doc["status"] == 0 and doc["tol"] == 1e-11
         assert doc["k_numeric"] == pytest.approx(0.0936689780, abs=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        ("--tol", "0", "inner-solve", "--n", "1"),
+        ("inner-solve", "--n", "1", "--tol=-1e-10"),
+        ("solve", "--n", "1", "--q", "0.5", "--tol", "1e-15"),
+        ("sweep", "--n", "1", "--q-list", "0.5,0.4", "--tol", "0")])
+    def test_tolerance_below_floor_is_domain_error(self, capsys, tmp_path,
+                                                   argv):
+        # solve_bvp would warn, solve at its floor and run to the node
+        # budget before exiting 2
+        rc, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "core.TOL_FLOOR = 2.22e-14" in err
+
     def test_solve_determinism(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):

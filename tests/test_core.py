@@ -81,6 +81,10 @@ def test_series_junction_continuity(profile):
     below = profile.f(rs * (1.0 - 1e-9))
     above = profile.f(rs * (1.0 + 1e-9))
     assert below == pytest.approx(above, rel=1e-7)
+    # above the cut f' is formed from the collocated z row
+    below = profile.df(rs * (1.0 - 1e-9))
+    above = profile.df(rs * (1.0 + 1e-9))
+    assert below == pytest.approx(above, rel=1e-7)
 
 
 def test_far_junction_continuity(profile):
@@ -88,6 +92,11 @@ def test_far_junction_continuity(profile):
     inside = profile.f(rm * (1.0 - 1e-9))
     outside = profile.f(rm * (1.0 + 1e-9))
     assert inside == pytest.approx(outside, rel=1e-9, abs=1e-9)
+    # f' ~ n^2 / r^3 is about 1e-7 there, so the collocation's absolute
+    # error of about 1e-13 reads as up to 7e-7 relative (n = 3)
+    inside = profile.df(rm * (1.0 - 1e-9))
+    outside = profile.df(rm * (1.0 + 1e-9))
+    assert inside == pytest.approx(outside, rel=2e-6)
 
 
 def test_moment_against_adaptive_quadrature(profile):
@@ -318,3 +327,84 @@ def test_series_moment_derivatives_match_complex_step():
         np.testing.assert_allclose(
             m_k2, core.series_moment(n, c, k2 + 1j * h, r).imag / h,
             rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobians_match_central_differences(n, monkeypatch):
+    # the exact fun_jac and bc_jac of the (f, z, I1) rows, read at the
+    # solved profile, against central differences of fun and bc
+    real, seen = core.solve_bvp, {}
+
+    def spy(fun, bc, x, y, p, **kwargs):
+        seen.update(fun=fun, bc=bc, sol=real(fun, bc, x, y, p, **kwargs),
+                    **kwargs)
+        return seen["sol"]
+
+    monkeypatch.setattr(core, "solve_bvp", spy)
+    core.solve_profile.__wrapped__(n)
+    fun, bc, sol = seen["fun"], seen["bc"], seen["sol"]
+    r, y, p = sol.x, sol.y, sol.p
+    df_dy, df_dp = seen["fun_jac"](r, y, p)
+    for j in range(3):
+        step = np.zeros_like(y)
+        step[j] = 1e-6 * (1.0 + np.abs(y[j]))
+        fd = (fun(r, y + step, p) - fun(r, y - step, p)) / (2.0 * step[j])
+        np.testing.assert_allclose(df_dy[:, j], fd, rtol=1e-7, atol=1e-7)
+    assert not np.any(df_dp)
+    assert np.array_equal(fun(r, y, 2.0 * p), fun(r, y, p))
+
+    ya, yb = y[:, 0], y[:, -1]
+    dbc_dya, dbc_dyb, dbc_dp = seen["bc_jac"](ya, yb, p)
+    for j, step in enumerate(1e-6 * np.eye(3)):
+        fd = (bc(ya + step, yb, p) - bc(ya - step, yb, p)) / 2e-6
+        np.testing.assert_allclose(dbc_dya[:, j], fd, rtol=1e-8, atol=1e-10)
+        fd = (bc(ya, yb + step, p) - bc(ya, yb - step, p)) / 2e-6
+        np.testing.assert_allclose(dbc_dyb[:, j], fd, rtol=1e-8, atol=1e-10)
+    h = 1e-6 * p[0]
+    fd = (bc(ya, yb, p + h) - bc(ya, yb, p - h)) / (2.0 * h)
+    np.testing.assert_allclose(dbc_dp[:, 0], fd, rtol=1e-7, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, r_max", [(n, r_max) for n in (1, 2, 3)
+                                      for r_max in (50.0, 400.0)]
+                         + [(1, 2000.0)])
+def test_one_jacobian_per_mesh_pass(n, r_max, monkeypatch):
+    # solve_bvp's Newton stops only when each collocation residual is below
+    # about 0.033 h tol (1 + |rhs|), some 4e-17 next to the series cut; a
+    # row that sits at its round-off there spends scipy's cap of four
+    # Jacobians on every pass, as the f' row of n = 1 did (17 for 5 passes)
+    real = core.solve_bvp
+    seen = {"jacobians": 0}
+
+    def spy(fun, bc, x, y, p, fun_jac, **kwargs):
+        def counted(r, yy, pp):
+            # each Jacobian reads fun_jac on the nodes and on the midpoints;
+            # only the nodes start at the series cut
+            seen["jacobians"] += r[0] == core.R_START
+            return fun_jac(r, yy, pp)
+
+        sol = real(fun, bc, x, y, p, fun_jac=counted, **kwargs)
+        seen["passes"] = sol.niter
+        return sol
+
+    monkeypatch.setattr(core, "solve_bvp", spy)
+    core.solve_profile.__wrapped__(n, r_max=r_max)
+    assert 0 < seen["jacobians"] <= seen["passes"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_converges_at_tight_tolerance(n):
+    # n = 1 at tol = 1e-12 once stopped on the node budget after 8.7 s
+    p = core.solve_profile(n, tol=1e-12)
+    assert p.c_f == pytest.approx(CF_FROZEN[n], abs=1e-9)
+    assert core.tail_constant(p).value == pytest.approx(C_FROZEN[n],
+                                                        abs=2e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-15, math.nan, math.inf])
+def test_refuses_tolerance_below_floor(tol):
+    # solve_bvp itself warns, solves at 100 eps and runs to the node budget
+    with pytest.raises(ValueError, match=re.escape(
+            f"core.TOL_FLOOR = {core.TOL_FLOOR:.3g}")):
+        core.solve_profile(1, tol=tol)
+

@@ -465,6 +465,26 @@ def test_phase_gradient_continuous_at_series_cut(base):
     assert below == pytest.approx(prof.v_at(rs), rel=1e-8)
 
 
+def test_first_integral_miss_marks_solve_suspect():
+    # at this long explicit matching radius the solve converges with
+    # status 0, but its first-integral gap, about 1.3e-9, is above 1e-9
+    profile, rep = solver.solve_spiral(1, 0.5, r_max=30000.0)
+    assert rep.status == 0
+    assert profile.first_integral_gap() > solver.FIRST_INTEGRAL_BOUND
+    assert rep.properties["first_integral"] is False
+    assert rep.properties["suspect"] is True
+    assert rep.message.endswith("checks failed: first_integral")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-15, math.nan, math.inf])
+def test_refuses_tolerance_below_floor(tol):
+    floor = re.escape(f"core.TOL_FLOOR = {core.TOL_FLOOR:.3g}")
+    with pytest.raises(ValueError, match=floor):
+        solver.solve_spiral(1, 0.5, tol=tol)
+    with pytest.raises(ValueError, match=floor):
+        solver.wavenumber_sweep(1, [0.5, 0.4], tol=tol)
+
+
 # Standing fault, pinned until the fix of ROADMAP item 3 flips it.
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -1,12 +1,16 @@
-"""Print a bit-level fingerprint of a fixed set of twisted solves.
+"""Print a bit-level fingerprint of the core solves and a fixed set of
+twisted solves.
 
-One line per case: the case, k as ``float.hex``, the collocation mesh
-node count and the report's ``newton_iterations`` (or the error a refused
-case raises).  That count is solve_bvp's ``niter``, the number of
-mesh-refinement passes of the last matching-radius attempt, not of Newton
-steps.  Two trees give the same output exactly when every case keeps its
-k bit for bit, its mesh and its pass count, so a refactor that
-claims bit-identity is checked with
+First comes one line per untwisted core solve ``core.solve_profile(n)``,
+n = 1, 2, 3, with c_f and the tail constant as ``float.hex`` and the
+collocation node count.  Then one line per twisted case: the case, k as
+``float.hex``, the collocation mesh node count and the report's
+``newton_iterations`` (or the error a refused case raises).  That count
+is solve_bvp's ``niter``, the number of mesh-refinement passes of the
+last matching-radius attempt, not of Newton steps.  Two trees give the
+same output exactly when every case keeps its c_f, tail constant or k
+bit for bit, its mesh and its pass count, so a refactor that claims
+bit-identity is checked with
 
     PYTHONPATH=src python3 tools/fingerprint.py > new.txt
     diff old.txt new.txt
@@ -27,7 +31,7 @@ import hashlib
 import tempfile
 from pathlib import Path
 
-from cglspiral import field, solver
+from cglspiral import core, field, solver
 
 SOLVES = [
     *((1, q, {"r_max": None}) for q in (0.5, -0.5, 0.9, 1.2, 1.5)),
@@ -46,6 +50,12 @@ def _line(label, profile, report):
 
 
 def main():
+    for n in (1, 2, 3):
+        profile = core.solve_profile(n)
+        tail = core.tail_constant(profile).value
+        print(f"solve_profile({n}): c_f={profile.c_f.hex()} "
+              f"tail={tail.hex()} nodes={profile.n_nodes}")
+
     for n, q, kwargs in SOLVES:
         args = ", ".join(f"{key}={val}" for key, val in kwargs.items())
         label = f"solve_spiral({n}, {q}, {args})"
