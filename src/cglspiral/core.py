@@ -24,14 +24,15 @@ at a small cut radius and the algebraic tail imposed at the far end.
 The collocated rows are (f, z, I1), not (f, f', I1), with the slope lifted
 by its origin law:
 
-    z = f' - n u^2 f / r,  u = 1 / (1 + r).
+    z = f' - n u^2 f / r,  u = 1 / (1 + r / LIFT_WIDTH).
 
 solve_bvp's Newton stops only when every collocation residual is below
 about 0.033 h tol (1 + |rhs|), some 4e-17 next to the cut at tol = 1e-11.
 At n = 1 the slope there is f' ~ c_f ~ 0.58, so the f' row sits at its
 round-off, above that test, and every mesh pass would spend scipy's cap of
 four Jacobians; z is O(r^n) there and tends to f' as r grows, so no row
-cancels at either end.
+cancels at either end.  The twisted solve collocates the same z; only this
+module knows the lift and the series start (:func:`series_start`).
 """
 
 import math
@@ -43,16 +44,19 @@ from scipy.integrate import cumulative_simpson, solve_bvp, solve_ivp
 from scipy.interpolate import CubicSpline
 
 __all__ = [
-    "CoreProfile", "TailConstant", "core_series", "core_series_dc",
-    "series_moment", "series_moment_dp", "origin_slope", "origin_law",
-    "piecewise", "far_profile",
+    "CoreProfile", "TailConstant", "core_series", "series_moment",
+    "series_start", "amplitude_rows", "amplitude_jac", "slope_from_z",
+    "z_from_slope", "origin_slope", "origin_law", "piecewise", "far_profile",
     "solve_profile", "v_inner", "tail_constant", "property_scan",
 ]
 
 # series cut: every collocation solve enters the origin through
-# core_series at this radius; the series of f and f' and the moment heads
+# series_start at this radius; the series of f and f' and the moment heads
 # are accurate there to about 3e-15 and 1e-9 relative
 R_START = 1e-2
+# width of the slope lift; at 1 it grew twisted meshes by 14-15%, and
+# without it (u = 1) the n = 1 core solve took 9 mesh passes, not 5
+LIFT_WIDTH = 30.0
 # collocation node budget of every solve_bvp call
 MAX_NODES = 200000
 # smallest tolerance solve_bvp honours: below 100 machine epsilons it
@@ -75,31 +79,23 @@ def core_series(n, c, r):
     f = c r^n (1 + a2 r^2 + a4 r^4) with a2 = -1/(4(n+1)); the r^4
     coefficient couples back to c only for the single-armed case.
     """
-    r = np.asarray(r, dtype=float)
-    a2, a4, _ = _series_coefficients(n, c)
-    f = c * r ** n * (1.0 + a2 * r * r + a4 * r ** 4)
-    df = c * (n * r ** (n - 1) + (n + 2) * a2 * r ** (n + 1)
-              + (n + 4) * a4 * r ** (n + 3))
-    return f, df
+    return _series(n, c, np.asarray(r, dtype=float), _quartic(n, c)[0], n)
 
 
-def core_series_dc(n, c, r):
-    """Derivatives in c of :func:`core_series`'s profile and slope,
-    the c-dependent r^4 coefficient of the single-armed case included."""
-    r = np.asarray(r, dtype=float)
-    a2, a4, da4 = _series_coefficients(n, c)
-    f_c = r ** n * (1.0 + a2 * r * r + (a4 + c * da4) * r ** 4)
-    df_c = (n * r ** (n - 1) + (n + 2) * a2 * r ** (n + 1)
-            + (n + 4) * (a4 + c * da4) * r ** (n + 3))
-    return f_c, df_c
-
-
-def _series_coefficients(n, c):
-    """(a2, a4, da4/dc) of the origin series."""
+def _series(n, c, r, a4, m):
+    """c r^n P and c r^(n-1) (m P + 2 a2 r^2 + 4 a4 r^4) for
+    P = 1 + a2 r^2 + a4 r^4: f and, at m = n, f'; at m = n (1 - u^2), z."""
     a2 = -1.0 / (4.0 * (n + 1))
+    head = 1.0 + a2 * r * r + a4 * r ** 4
+    return (c * r ** n * head, c * r ** (n - 1)
+            * (m * head + 2.0 * a2 * r * r + 4.0 * a4 * r ** 4))
+
+
+def _quartic(n, c):
+    """(a4, da4/dc) of the origin series."""
     if n == 1:
-        return a2, (c * c + 0.125) / 24.0, c / 12.0
-    return a2, -a2 / (8.0 * (n + 2)), 0.0
+        return (c * c + 0.125) / 24.0, c / 12.0
+    return 1.0 / (32.0 * (n + 1) * (n + 2)), 0.0
 
 
 def _moment_heads(n, r):
@@ -118,10 +114,25 @@ def series_moment(n, c, k2, r):
     return c * c * (1.0 - k2) * p2 - c ** 4 * p4
 
 
-def series_moment_dp(n, c, k2, r):
-    """Derivatives of :func:`series_moment` in c and in k^2."""
+def series_start(n, c, k2):
+    """Rows (f, z, M) of the origin series at R_START, M being
+    :func:`series_moment`, and their derivatives in (c, k^2), (3, 2).
+
+    z = c r^(n-1) [m P + 2 a2 r^2 + 4 a4 r^4], P = f / (c r^n) and
+    m = n (1 - u^2) = n r (2 L + r) / (L + r)^2 for L = LIFT_WIDTH, is
+    summed term by term, not as f' - a f of two O(c) numbers.  The
+    twist's v^2 adds origin_slope^2 / (8 (n+2)) to a4, at most 2.2e-11 of
+    f for |q| <= 1, so the untwisted series serves every solve."""
+    r = R_START
+    a4, da4 = _quartic(n, c)
+    m = n * r * (2.0 * LIFT_WIDTH + r) / (LIFT_WIDTH + r) ** 2
     p2, p4 = _moment_heads(n, r)
-    return 2.0 * c * (1.0 - k2) * p2 - 4.0 * c ** 3 * p4, -c * c * p2
+    f_c, z_c = _series(n, 1.0, r, a4 + c * da4, m)
+    rows = np.array([*_series(n, c, r, a4, m), series_moment(n, c, k2, r)])
+    d_rows = np.array([[f_c, 0.0], [z_c, 0.0],
+                       [2.0 * c * (1.0 - k2) * p2 - 4.0 * c ** 3 * p4,
+                        -c * c * p2]])
+    return rows, d_rows
 
 
 def origin_slope(n, q, k):
@@ -194,19 +205,39 @@ def _tail_floor(n):
     return 1.0 / math.sqrt(x)
 
 
-def _slope_lift(n, r):
-    """a = n u^2 / r with u = 1/(1+r), the weight of the core solve's
-    slope row z = f' - a f."""
-    return n / (r * (1.0 + r) ** 2)
+def _lift(n, r):
+    """(a, gain): the weight a = n u^2 / r of the slope row z = f' - a f,
+    u = 1 / (1 + r / LIFT_WIDTH), and the f coefficient of z',
+    n^2/r^2 - a' - a/r - a^2, written without the n^2/r^2 cancellation."""
+    u = 1.0 / (1.0 + r / LIFT_WIDTH)
+    uu = u * u
+    a = n * uu / r
+    return a, a * (n * (1.0 + u) * (1.0 + uu) + 2.0 * uu) / (LIFT_WIDTH * u)
 
 
-def _lift_gain(n, r):
-    """n^2/r^2 - a' - a/r - a^2 for a = :func:`_slope_lift`, the f
-    coefficient of z' = gain f - (1/r + a) z - f (1 - f^2), written
-    without the n^2/r^2 cancellation."""
-    u = 1.0 / (1.0 + r)
-    return n * (n * u ** 4 * (4.0 + r * (6.0 + r * (4.0 + r)))
-                + 2.0 * u ** 3) / r
+def slope_from_z(n, r, f, z):
+    """The slope f' = z + a f of the rows (f, z)."""
+    return z + _lift(n, r)[0] * f
+
+
+def z_from_slope(n, r, f, df):
+    """The slope row z = f' - a f of a profile f and its slope f'."""
+    return df - _lift(n, r)[0] * f
+
+
+def amplitude_rows(n, r, f, z, v2=0.0):
+    """(f', z') of f'' + f'/r - n^2 f/r^2 + f (1 - f^2 - v^2) = 0 in the
+    rows (f, z): z' = gain f - (1/r + a) z - f (1 - f^2 - v^2)."""
+    a, gain = _lift(n, r)
+    return z + a * f, gain * f - (1.0 / r + a) * z - f * (1.0 - f * f - v2)
+
+
+def amplitude_jac(n, r, f, v2=0.0):
+    """Jacobian of :func:`amplitude_rows` in (f, z) at fixed v^2, as
+    [[df'/df, df'/dz], [dz'/df, dz'/dz]]; dz'/d(v^2) is f."""
+    a, gain = _lift(n, r)
+    return [[a, np.ones_like(f)],
+            [gain - 1.0 + 3.0 * f * f + v2, -(1.0 / r + a)]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +246,8 @@ class CoreProfile:
 
     f and f' are piecewise: the power series below the collocation cut,
     the collocation spline on [r_start, r_max], the algebraic tail beyond.
-    ``sol`` holds the collocated rows (f, z, I1); f' = z + n u^2 f / r is
-    formed from them in one place, ``_inside``.
+    ``sol`` holds the collocated rows (f, z, I1); f' is formed from them
+    in one place, ``_inside``, by :func:`slope_from_z`.
     """
 
     n: int
@@ -242,9 +273,8 @@ class CoreProfile:
         return CubicSpline(grid, vals)
 
     def _inside(self, r):
-        # the collocation rows are (f, z, I1) with z = f' - a f
         f, z = self.sol(r)[:2]
-        return f, z + _slope_lift(self.n, r) * f
+        return f, slope_from_z(self.n, r, f, z)
 
     def _piece(self, r, i):
         return piecewise(r, self.r_start, self.r_max,
@@ -258,14 +288,20 @@ class CoreProfile:
     def df(self, r):
         return self._piece(r, 1)
 
-    def moments(self, r):
-        """Cumulative moments (I1, I2) of xi f^2 (1-f^2) and xi f^2,
-        read only on the solved range [r_start, r_max]."""
+    def i1(self, r):
+        """Cumulative moment I1 of xi f^2 (1-f^2), read only on the solved
+        range [r_start, r_max], without building the I2 quadrature."""
         rr = np.asarray(r, dtype=float)
         if np.any(rr < self.r_start) or np.any(rr > self.r_max):
             raise ValueError("moments must be read inside the solved range")
-        i1, i2 = self.sol(rr)[2], self._i2_spline(rr)
-        return (float(i1), float(i2)) if np.isscalar(r) else (i1, i2)
+        i1 = self.sol(rr)[2]
+        return float(i1) if np.isscalar(r) else i1
+
+    def moments(self, r):
+        """Cumulative moments (I1, I2) of xi f^2 (1-f^2) and xi f^2,
+        read only on the solved range [r_start, r_max]."""
+        i1, i2 = self.i1(r), self._i2_spline(np.asarray(r, dtype=float))
+        return (i1, float(i2)) if np.isscalar(r) else (i1, i2)
 
 
 @lru_cache(maxsize=32)
@@ -274,15 +310,15 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
 
     The rise coefficient c_f is carried as the unknown parameter; the
     origin is entered through the exact series at the cut R_START = 1e-2
-    (f, f' three orders deep, the moment two) and the far end through the
-    algebraic tail at r_max.  The slope is collocated as the lifted row
-    z = f' - n f / (r (1 + r)^2), whose round-off near the cut lies far
-    below solve_bvp's Newton stopping test (see the module notes), and
-    :meth:`CoreProfile.df` turns it back into f'.  Newton runs on the exact
-    Jacobians of the rows and of the boundary conditions.  An r_max where
-    the tail's f is not in (0, 1) is refused with the radius it needs, a
-    tol not finite or below TOL_FLOOR is refused naming it, and a
-    converged c_f <= 0 raises: none is a profile.
+    (:func:`series_start`: f, z three orders deep, the moment two) and the
+    far end through the algebraic tail at r_max.  The slope is collocated
+    as the lifted row z = f' - n f / (r (1 + r/LIFT_WIDTH)^2), whose
+    round-off near the cut lies far below solve_bvp's Newton stopping test
+    (see the module notes), and :meth:`CoreProfile.df` turns it back.
+    Newton runs on the exact Jacobians of the rows and of the boundary
+    conditions.  An r_max where the tail's f is not in (0, 1) is refused
+    with the radius it needs, a tol not finite or below TOL_FLOOR is
+    refused naming it, and a converged c_f <= 0 raises: none is a profile.
 
     Returns
     -------
@@ -303,53 +339,33 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
             f"r_max > {_tail_floor(n):.6g}")
 
     def rhs(r, y, p):
-        f, z = y[0], y[1]
-        a = _slope_lift(n, r)
-        omf2 = 1.0 - f * f
-        return np.vstack([
-            z + a * f,
-            _lift_gain(n, r) * f - (1.0 / r + a) * z - f * omf2,
-            r * f * f * omf2,
-        ])
+        f = y[0]
+        return np.vstack([*amplitude_rows(n, r, f, y[1]),
+                          r * f * f * (1.0 - f * f)])
 
     def fun_jac(r, y, p):
         f = y[0]
-        a = _slope_lift(n, r)
-        zero, one = np.zeros_like(f), np.ones_like(f)
-        df_dy = np.array([
-            [a, one, zero],
-            [_lift_gain(n, r) - 1.0 + 3.0 * f * f, -(1.0 / r + a), zero],
-            [r * f * (2.0 - 4.0 * f * f), zero, zero],
-        ])
-        return df_dy, np.zeros((3, 1, r.size))
-
-    a_start = _slope_lift(n, R_START)
+        zero = np.zeros_like(f)
+        (ff, fz), (zf, zz) = amplitude_jac(n, r, f)
+        return (np.array([[ff, fz, zero], [zf, zz, zero],
+                          [r * f * (2.0 - 4.0 * f * f), zero, zero]]),
+                np.zeros((3, 1, r.size)))
 
     def bc(ya, yb, p):
-        c = p[0]
-        fs, gs = core_series(n, c, R_START)
-        return np.array([
-            ya[0] - fs,
-            ya[1] - (gs - a_start * fs),
-            ya[2] - series_moment(n, c, 0.0, R_START),
-            yb[0] - far_f,
-        ])
+        rows, _ = series_start(n, p[0], 0.0)
+        return np.append(ya - rows, yb[0] - far_f)
 
     def bc_jac(ya, yb, p):
-        c = p[0]
-        fs_c, gs_c = core_series_dc(n, c, R_START)
-        m_c, _ = series_moment_dp(n, c, 0.0, R_START)
+        _, d_rows = series_start(n, p[0], 0.0)
         dbc_dyb = np.zeros((4, 3))
         dbc_dyb[3, 0] = 1.0
-        dbc_dp = -np.array([[fs_c], [gs_c - a_start * fs_c], [m_c], [0.0]])
-        return np.eye(4, 3), dbc_dyb, dbc_dp
+        return np.eye(4, 3), dbc_dyb, -np.vstack([d_rows[:, :1], [0.0]])
 
     r = np.geomspace(R_START, r_max, n_mesh)
     c0 = 0.6 * 4.0 ** (1 - n)
     f_init = np.tanh(np.clip(c0 * r ** n, 0.0, 20.0))
-    z_init = np.gradient(f_init, r) - _slope_lift(n, r) * f_init
-    i1_init = np.maximum(n * n * np.log(r), 0.0)
-    y = np.vstack([f_init, z_init, i1_init])
+    y = np.vstack([f_init, z_from_slope(n, r, f_init, np.gradient(f_init, r)),
+                   np.maximum(n * n * np.log(r), 0.0)])
     sol = solve_bvp(rhs, bc, r, y, p=[c0], tol=tol, fun_jac=fun_jac,
                     bc_jac=bc_jac, max_nodes=MAX_NODES)
     if sol.status != 0:
@@ -358,9 +374,7 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     if not c_f > 0.0:
         raise RuntimeError(f"collocation converged to c_f = {c_f:.6g} at "
                            f"r_max = {r_max!r}, which is not a profile")
-    ya = sol.y[:, 0]
-    yb = sol.y[:, -1]
-    bc_res = float(np.max(np.abs(bc(ya, yb, sol.p))))
+    bc_res = float(np.max(np.abs(bc(sol.y[:, 0], sol.y[:, -1], sol.p))))
     return CoreProfile(
         n=n, c_f=c_f, r_start=R_START, r_max=r_max, sol=sol.sol,
         bc_residual=bc_res, rms_residual=float(np.max(sol.rms_residuals)),
@@ -409,8 +423,7 @@ def tail_constant(profile, r_eval=None):
     t3 = 2.0 * n2 - n2 * n2
 
     def est(r):
-        i1, _ = profile.moments(r)
-        return i1 - n2 * math.log(r) + 0.5 * t3 / (r * r)
+        return profile.i1(r) - n2 * math.log(r) + 0.5 * t3 / (r * r)
 
     value = est(r_eval)
     gap = abs(value - est(0.5 * r_eval))
@@ -467,9 +480,6 @@ def property_scan(profile):
         f = profile.f(r)
         return (1.0 - f * f - n2 / (r * r)) * r ** 4
 
-    def df_coeff(r):
-        return profile.df(r) * r ** 3
-
     r_lin = 2.0 * profile.r_start
     slope = v_inner(profile, 1.0, 0.0, r_lin) / r_lin
     vgrid = np.abs(v_inner(profile, 1.0, 0.0, grid))
@@ -480,7 +490,7 @@ def property_scan(profile):
         "r4_coeff": float(r4_coeff(r_probe)),
         "r4_coeff_half": float(r4_coeff(0.5 * r_probe)),
         "r4_expected": 2.0 * n2,
-        "df_r3_coeff": float(df_coeff(r_probe)),
+        "df_r3_coeff": float(profile.df(r_probe) * r_probe ** 3),
         "df_r3_expected": n2,
         "origin_slope": float(slope),
         "origin_slope_expected": float(

@@ -2,12 +2,15 @@
 
 Unknowns are the radial amplitude f, its phase gradient v, the core
 slope coefficient c_f, and the selected wavenumber k.  The working
-variables are (f, g = f', w = r f^2 v): w obeys the exact first
-integral w' = -q r f^2 (1 - f^2 - k^2), which keeps the phase equation
-regular through the origin where dividing by f would not be.
+variables are (f, z, w = r f^2 v).  z is the core solve's slope row, f'
+with its origin law taken off (see :mod:`cglspiral.core`, which alone
+knows it), so Newton's stopping test is not held at round-off next to
+the series cut.  w obeys the exact first integral
+w' = -q r f^2 (1 - f^2 - k^2), which keeps the phase equation regular
+through the origin where dividing by f would not be.
 
-The two-point problem runs from a series start at core.R_START to an outer
-matching radius r_max chosen so that k|q| r_max is order one, where f
+The two-point problem runs from core.series_start at core.R_START to an
+outer matching radius r_max chosen so that k|q| r_max is order one, where f
 and v are tied to the decaying far-field pair built from the imaginary
 order Bessel cone (see :mod:`cglspiral.outer`).  A damped-Newton
 collocation scheme (scipy's solve_bvp) carries (c_f, log k) as unknown
@@ -57,8 +60,8 @@ FIRST_INTEGRAL_BOUND = 1e-9
 class RadialProfile:
     """Converged (or diagnostic) radial solution on a grid.
 
-    ``interpolant(r)`` returns the rows (f, f', w) with w = r f^2 v, the
-    layout of :func:`_rhs`; ``f_at`` and ``v_at`` are its readers.
+    ``interpolant(r)`` returns the rows (f, z, w = r f^2 v) of :func:`_rhs`;
+    ``f_at`` and ``v_at`` are its readers, and ``df`` holds f' on the grid.
     ``integral`` holds I(r) = int_0^r xi f^2 (1 - f^2 - k^2) dxi computed
     by independent quadrature over the dense interpolant, so comparing
     w against -q I is a real consistency check, not a tautology.
@@ -185,65 +188,52 @@ def cgl_lambda_omega(q, k, Omega):
     return lam, om
 
 
-def _series_start(n, q, c, k2):
-    # the twist's v^2 adds origin_slope^2 / (8 (n+2)) to the r^4
-    # coefficient of f; at R_START that is at most 2.2e-11 of f for
-    # |q| <= 1 and moves no k by more than rounding, so the untwisted
-    # series serves
-    fs, dfs = core.core_series(n, c, core.R_START)
-    return fs, dfs, -q * core.series_moment(n, c, k2, core.R_START)
-
-
-def _series_start_dp(n, q, c, k2):
-    """Derivatives of the rows of :func:`_series_start` in (c_f, log k)."""
-    fs_c, dfs_c = core.core_series_dc(n, c, core.R_START)
-    m_c, m_k2 = core.series_moment_dp(n, c, k2, core.R_START)
-    # w0 = -q series_moment, and d(k^2)/d(log k) = 2 k^2
-    return np.array([[fs_c, 0.0], [dfs_c, 0.0],
-                     [-q * m_c, -2.0 * q * k2 * m_k2]])
-
-
 def _rhs(n, q, k, r, y):
-    """Twisted system in the rows (f, f', w), stacked as (3, ...) arrays."""
-    f, g, w = y
+    """Twisted system in the rows (f, z, w), stacked as (3, ...) arrays."""
+    f, z, w = y
     v = w / (r * f * f + _TINY)
-    return np.vstack([
-        g,
-        -g / r + n * n * f / (r * r) - f * (1.0 - f * f - v * v),
-        -q * r * f * f * (1.0 - f * f - k * k),
-    ])
+    return np.vstack([*core.amplitude_rows(n, r, f, z, v * v),
+                      -q * r * f * f * (1.0 - f * f - k * k)])
 
 
 def _rhs_jac(n, q, k, r, y):
-    """Exact Jacobians of :func:`_rhs` in the rows (f, f', w) and in the
+    """Exact Jacobians of :func:`_rhs` in the rows (f, z, w) and in the
     parameters (c_f, log k), shaped (3, 3, m) and (3, 2, m) for solve_bvp."""
-    f, g, w = y
+    f, z, w = y
     d = r * f * f + _TINY
     v = w / d
-    dv_df = -2.0 * r * f * w / (d * d)
-    zero, one = np.zeros_like(f), np.ones_like(f)
-    df_dy = np.array([
-        [zero, one, zero],
-        [n * n / (r * r) - 1.0 + 3.0 * f * f + v * v + 2.0 * f * v * dv_df,
-         -1.0 / r, 2.0 * f * v / d],
-        [-2.0 * q * r * f * (1.0 - 2.0 * f * f - k * k), zero, zero],
-    ])
+    (ff, fz), (zf, zz) = core.amplitude_jac(n, r, f, v * v)
+    zero = np.zeros_like(f)
+    # z' carries -f (1 - f^2 - v^2) with v = w / d: f dv^2 is the chain rule
+    dw_df = -2.0 * q * r * f * (1.0 - 2.0 * f * f - k * k)
+    df_dy = np.array([[ff, fz, zero],
+                      [zf - 4.0 * r * f * f * v * v / d, zz, 2.0 * f * v / d],
+                      [dw_df, zero, zero]])
     df_dp = np.array([[zero, zero], [zero, zero],
                       [zero, 2.0 * q * r * f * f * k * k]])
     return df_dy, df_dp
 
 
+def _start(n, q, c, k2):
+    """The series start (f, z, w) at core.R_START, w0 = -q M, and its
+    derivatives in (c_f, log k), d(k^2)/d(log k) being 2 k^2."""
+    rows, d_rows = core.series_start(n, c, k2)
+    scale = np.array([1.0, 1.0, -q])
+    return rows * scale, d_rows * scale[:, None] * [1.0, 2.0 * k2]
+
+
 def _profile(n, q, k, c, r, y, interpolant, **diagnostics):
-    """Record of the rows y = (f, f', w) on the nodes r, with the first
-    integral by midpoint Simpson, midpoints from the interpolant."""
-    f, g, w = y
+    """Record of the rows y = (f, z, w) on the nodes r: f' from z, the
+    first integral by midpoint Simpson with midpoints from the interpolant."""
+    f, z, w = y
     k2 = k * k
     mid = 0.5 * (r[:-1] + r[1:])
     fm = interpolant(mid)[0]
     I = core.cumulative_midpoint_simpson(
         r, r * f * f * (1.0 - f * f - k2), mid * fm * fm * (1.0 - fm * fm - k2),
         core.series_moment(n, c, k2, core.R_START))
-    return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f, df=g,
+    return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f,
+                         df=core.slope_from_z(n, r, f, z),
                          v=w / (r * f * f + _TINY), integral=I, w=w,
                          interpolant=interpolant, **diagnostics)
 
@@ -251,11 +241,11 @@ def _profile(n, q, k, c, r, y, interpolant, **diagnostics):
 def integrate_from_origin(params, c_f_guess, r_max):
     """March the profile outward from a series start at given (c_f, k).
 
-    The march advances the rows (f, f', w) of the collocation solve.
-    Marching stops early when f escapes the physical strip (crosses zero
-    or runs past 1.05); the escape radius is recorded for bracketing
-    diagnostics.  Not a boundary-tolerance route: the growing mode
-    amplifies rounding by e^{sqrt(2) r}.
+    The march advances the rows (f, z, w) of the collocation solve from
+    its series start.  It stops early when f escapes the physical strip
+    (crosses zero or runs past 1.05); the escape radius is recorded for
+    bracketing diagnostics.  Not a boundary-tolerance route: the growing
+    mode amplifies rounding by e^{sqrt(2) r}.
     """
     if c_f_guess <= 0.0:
         raise ValueError(f"core slope must be positive, got {c_f_guess!r}")
@@ -268,7 +258,7 @@ def integrate_from_origin(params, c_f_guess, r_max):
 
     grid = np.geomspace(core.R_START, r_max, 2000)
     sol = solve_ivp(lambda r, y: _rhs(n, q, k, r, y), (core.R_START, r_max),
-                    _series_start(n, q, c_f_guess, k * k), method="DOP853",
+                    _start(n, q, c_f_guess, k * k)[0], method="DOP853",
                     rtol=1e-10, atol=1e-13, dense_output=True, events=escape,
                     t_eval=grid, vectorized=True)
     if not sol.success and sol.status != 1:
@@ -282,35 +272,31 @@ def integrate_from_origin(params, c_f_guess, r_max):
 def _boundary(n, q, r_max):
     """Boundary residuals of the twisted solve and their exact Jacobians.
 
-    The rows are the series start at core.R_START (f, f', w) and the far
+    The rows are the series start (f, z, w) at core.R_START and the far
     field at r_max (f and v); the parameters are p = (c_f, log k).
     """
     sgn = 1.0 if q > 0 else -1.0
 
     def bc(ya, yb, p):
-        c, logk = p
-        k = np.exp(logk)
-        fs, dfs, w0 = _series_start(n, q, c, k * k)
+        k = np.exp(p[1])
         _, _, f_o, v_o = outer.far_field(n, q, k, k * abs(q) * r_max)
         v_end = yb[2] / (r_max * yb[0] * yb[0] + _TINY)
-        return np.array([ya[0] - fs, ya[1] - dfs, ya[2] - w0,
-                         yb[0] - f_o, v_end - v_o])
+        return np.append(ya - _start(n, q, p[0], k * k)[0],
+                         [yb[0] - f_o, v_end - v_o])
 
     def bc_jac(ya, yb, p):
-        c, logk = p
-        k = np.exp(logk)
+        k = np.exp(p[1])
         R = k * abs(q) * r_max
         # dR/dlog k = R, and the far field's eps n/R = n/r_max is free of k
         V0, dV0, f_o, _ = outer.far_field(n, q, k, R)
         dV = k * (V0 + R * dV0)
         d = r_max * yb[0] * yb[0] + _TINY
-        dbc_dya = np.eye(5, 3)
         dbc_dyb = np.zeros((5, 3))
         dbc_dyb[3, 0] = 1.0
         dbc_dyb[4] = [-2.0 * r_max * yb[0] * yb[2] / (d * d), 0.0, 1.0 / d]
-        dbc_dp = np.vstack([-_series_start_dp(n, q, c, k * k),
+        dbc_dp = np.vstack([-_start(n, q, p[0], k * k)[1],
                             [[0.0, k * V0 * dV / f_o], [0.0, -sgn * dV]]])
-        return dbc_dya, dbc_dyb, dbc_dp
+        return np.eye(5, 3), dbc_dyb, dbc_dp
 
     return bc, bc_jac
 
@@ -323,7 +309,8 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
     f0 = prof0.f(r)
     rb = k0 * (2 * n + 2) / (abs(q) * (1.0 - k0 * k0))
     v0 = -sgn * k0 * r / np.sqrt(r * r + rb * rb)
-    y = np.vstack([f0, prof0.df(r), r * f0 * f0 * v0])
+    y = np.vstack([f0, core.z_from_slope(n, r, f0, prof0.df(r)),
+                   r * f0 * f0 * v0])
     try:
         sol = solve_bvp(lambda r, y, p: _rhs(n, q, np.exp(p[1]), r, y), bc,
                         r, y, p=[c0, math.log(k0)], tol=tol,
@@ -366,7 +353,8 @@ def _check_properties(profile, report):
 def _q0_solve(n):
     prof0 = core.solve_profile(n)
     r = np.geomspace(core.R_START, prof0.r_max, 4001)
-    interp = lambda rr: np.vstack([prof0.f(rr), prof0.df(rr),
+    # the core's rows (f, z) are the twisted solve's at q = 0
+    interp = lambda rr: np.vstack([prof0.sol(rr)[:2],
                                    np.zeros_like(np.asarray(rr, float))])
     profile = _profile(n, 0.0, 0.0, prof0.c_f, r, interp(r), interp)
     report = WavenumberReport(n=n, q=0.0, k_numeric=0.0, k_asymptotic=0.0,
@@ -445,7 +433,9 @@ def wavenumber_sweep(n, q_list, tol=1e-10):
 
     Each solve seeds the next through the asymptotic transfer
     log k(q_next) ~ log k(q_prev) + [log kappa(q_next) - log kappa(q_prev)],
-    except at q = 0 and the twist after it, which start cold.  Per-twist
+    except at q = 0, the twist after it and a twist whose sign differs from
+    the last solved one, which start cold, so that a sweep meets the exact
+    mirror of a cold solve on the other sign.  Per-twist
     failures are isolated: the report row carries the error message and
     the sweep continues.
     """
@@ -457,7 +447,7 @@ def wavenumber_sweep(n, q_list, tol=1e-10):
     k_prev = c_prev = q_prev = None
     for q in qs:
         try:
-            if not k_prev or q == 0.0:
+            if not k_prev or q * q_prev <= 0.0:
                 init = None
             else:
                 lk = math.log(k_prev) \

@@ -8,6 +8,7 @@ independent methods (bisection shooting and collocation, agreeing to
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -240,6 +241,16 @@ def test_tail_constant_outside_range_rejected():
         core.tail_constant(p, p.r_max * 2.0)
 
 
+def test_tail_constant_reads_i1_alone():
+    # the tail constant drops I2, so it must not build the 30,001-point
+    # quadrature spline that I2 is read from (about 10 ms per profile)
+    p = core.solve_profile.__wrapped__(1)
+    tail = core.tail_constant(p)
+    assert "_i2_spline" not in p.__dict__
+    assert tail.value == core.tail_constant(core.solve_profile(1)).value
+    assert p.i1(p.r_max) == p.moments(p.r_max)[0]
+
+
 def test_moments_and_v_inner_refuse_past_solved_range():
     p = core.solve_profile(1)
     with pytest.raises(ValueError, match="solved range"):
@@ -274,18 +285,6 @@ def test_piecewise_pieces_and_return_convention():
                           None).shape == (1,)
 
 
-def test_series_c_derivative_matches_complex_step():
-    # at r = 0.5 the c-dependent r^4 coefficient of n = 1 moves df/dc by
-    # about 1e-3 relative, far above the tolerance
-    r, h = np.array([1e-3, 0.1, 0.5]), 1e-30
-    for n in (1, 2, 3):
-        c = CF_FROZEN[n]
-        f_c, df_c = core.core_series_dc(n, c, r)
-        f, df = core.core_series(n, c + 1j * h, r)
-        np.testing.assert_allclose(f_c, f.imag / h, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(df_c, df.imag / h, rtol=1e-14, atol=0)
-
-
 def test_origin_law_in_one_place():
     p = core.solve_profile(2)
     slope = core.origin_slope(2, 0.5, 0.1)
@@ -316,11 +315,51 @@ def test_moment_head_matches_quadrature_of_series(n):
     assert core.series_moment(n, c, k2, r) == pytest.approx(ref, rel=1e-8)
 
 
-def test_series_moment_derivatives_match_complex_step():
-    r, h = np.array([1e-3, 1e-2, 0.1]), 1e-30
+def test_series_start_rows_match_extended_precision():
+    # the rows (f, z, M) at the cut against the series summed in 40 digits,
+    # z = f' - n u^2 f / r included
+    k2, r = 0.09, core.R_START
     for n in (1, 2, 3):
-        c, k2 = CF_FROZEN[n], 0.09
-        m_c, m_k2 = core.series_moment_dp(n, c, k2, r)
+        c = CF_FROZEN[n]
+        rows = core.series_start(n, c, k2)[0]
+        with mp.workdps(40):
+            rm, cm = mp.mpf(r), mp.mpf(c)
+            a2 = -mp.mpf(1) / (4 * (n + 1))
+            a4 = (cm * cm + mp.mpf(1) / 8) / 24 if n == 1 \
+                else -a2 / (8 * (n + 2))
+            f = cm * rm ** n * (1 + a2 * rm ** 2 + a4 * rm ** 4)
+            df = cm * (n * rm ** (n - 1) + (n + 2) * a2 * rm ** (n + 1)
+                       + (n + 4) * a4 * rm ** (n + 3))
+            lift = n / (rm * (1 + rm / mp.mpf(core.LIFT_WIDTH)) ** 2)
+            ref = [float(f), float(df - lift * f)]
+        np.testing.assert_allclose(rows[:2], ref, rtol=1e-14, atol=0)
+        assert rows[2] == core.series_moment(n, c, k2, r)
+
+
+def test_series_c_derivative_matches_complex_step():
+    # the (f, z) rows' derivatives at the cut against complex steps; the
+    # c-dependent r^4 coefficient of n = 1 moves f_c by about 3e-10
+    # relative there, far above the tolerance
+    k2, h, r = 0.09, 1e-30, core.R_START
+    for n in (1, 2, 3):
+        c = CF_FROZEN[n]
+        d_rows = core.series_start(n, c, k2)[1]
+        step_c = core.series_start(n, c + 1j * h, k2)[0]
+        np.testing.assert_allclose(d_rows[:2, 0], step_c[:2].imag / h,
+                                   rtol=1e-14, atol=0)
+        f, _ = core.core_series(n, c + 1j * h, r)
+        np.testing.assert_allclose(d_rows[0, 0], f.imag / h,
+                                   rtol=1e-14, atol=0)
+        # f and z do not depend on k^2
+        step_k2 = core.series_start(n, c, k2 + 1j * h)[0]
+        assert not np.any(d_rows[:2, 1]) and not np.any(step_k2[:2].imag)
+
+
+def test_series_moment_derivatives_match_complex_step():
+    k2, h, r = 0.09, 1e-30, core.R_START
+    for n in (1, 2, 3):
+        c = CF_FROZEN[n]
+        m_c, m_k2 = core.series_start(n, c, k2)[1][2]
         np.testing.assert_allclose(
             m_c, core.series_moment(n, c + 1j * h, k2, r).imag / h,
             rtol=1e-14, atol=0)

@@ -171,6 +171,15 @@ def test_sweep_through_zero_twist_restarts_cold():
     assert reports[2].r_max == reports[0].r_max
 
 
+def test_sweep_across_sign_restarts_cold():
+    # the warm start from +0.5 once put -0.5 on matching radius 34.16
+    # instead of 37.14 and moved its k by 3.5e-5 off the mirror
+    reports = solver.wavenumber_sweep(1, [0.5, -0.5])
+    assert [r.status for r in reports] == [0, 0]
+    assert reports[1].k_numeric == reports[0].k_numeric
+    assert reports[1].r_max == reports[0].r_max
+
+
 def test_refuses_twist_beyond_domain_budget():
     # the budget admits cold solves down to q ~ 0.142, 0.078 and 0.054 for
     # n = 1, 2, 3; the refusal comes before any solve
@@ -208,6 +217,15 @@ def test_refuses_radius_inside_series_cut(q, r_max):
         solver.solve_spiral(1, q, r_max=r_max)
 
 
+def _slope_and_curvature(n, x, y, dy):
+    # f' = z + a f from the rows (f, z, w), and f'' = z' + a' f + a f',
+    # with a read off core.slope_from_z and a' by a complex step
+    h = 1e-30
+    a = core.slope_from_z(n, x, 1.0, 0.0)
+    da = core.slope_from_z(n, x + 1j * h, 1.0, 0.0).imag / h
+    return y[1] + a * y[0], dy[1] + da * y[0] + a * dy[0]
+
+
 def test_system_residual_on_converged_profile(base):
     prof, _ = base
     params = solver.SpiralParams(prof.n, prof.q, prof.k)
@@ -215,8 +233,8 @@ def test_system_residual_on_converged_profile(base):
     x = np.geomspace(prof.r_start * 2, prof.r_max * 0.98, 4001)
     y = prof.interpolant(x)
     dy = prof.interpolant(x, 1)
-    f, g, w = y
-    df, dg, dw = dy
+    f, w, dw = y[0], y[2], dy[2]
+    g, dg = _slope_and_curvature(prof.n, x, y, dy)
     v = w / (x * f * f)
     dv = dw / (x * f * f) - w * (f * f + 2 * x * f * g) / (x * f * f) ** 2
     res_f, res_v = solver.system_residual(x, f, g, dg, v, dv, params)
@@ -226,10 +244,11 @@ def test_system_residual_on_converged_profile(base):
     xn = prof.r_grid[1:-1]
     yn = prof.interpolant(xn)
     dyn = prof.interpolant(xn, 1)
+    gn, dgn = _slope_and_curvature(prof.n, xn, yn, dyn)
     vn = yn[2] / (xn * yn[0] ** 2)
     dvn = dyn[2] / (xn * yn[0] ** 2) \
-        - yn[2] * (yn[0] ** 2 + 2 * xn * yn[0] * yn[1]) / (xn * yn[0] ** 2) ** 2
-    rf, rv = solver.system_residual(xn, yn[0], yn[1], dyn[1], vn, dvn, params)
+        - yn[2] * (yn[0] ** 2 + 2 * xn * yn[0] * gn) / (xn * yn[0] ** 2) ** 2
+    rf, rv = solver.system_residual(xn, yn[0], gn, dgn, vn, dvn, params)
     assert np.max(np.abs(rf)) < 1e-11
     assert np.max(np.abs(rv)) < 1e-11
 
@@ -309,7 +328,7 @@ def test_integrate_from_origin_matches_collocation(base):
 
 
 def test_integrate_from_origin_reads_like_collocation(base):
-    # the march fills the same (f, f', w) record as the collocation solve,
+    # the march fills the same (f, z, w) record as the collocation solve,
     # so its readers v_at and theta_of_r give the same phase
     prof, rep = base
     params = solver.SpiralParams(1, 0.5, rep.k_numeric)
@@ -366,7 +385,9 @@ def test_endpoint_slope_at_large_order(n, q):
 def converged(request):
     n, q = request.param
     prof, rep = solver.solve_spiral(n, q)
-    y = np.vstack([prof.f, prof.df, prof.w])
+    # the collocated rows (f, z, w)
+    z = core.z_from_slope(n, prof.r_grid, prof.f, prof.df)
+    y = np.vstack([prof.f, z, prof.w])
     return n, q, prof, y, np.array([prof.c_f, math.log(rep.k_numeric)])
 
 
@@ -452,6 +473,42 @@ def test_tight_tolerance_converges(base):
     _, rep = solver.solve_spiral(1, 0.5, tol=1e-11)
     _, ref = base
     assert rep.status == 0
+    assert rep.k_numeric == pytest.approx(ref.k_numeric, rel=1e-10)
+
+
+def test_one_jacobian_per_mesh_pass(monkeypatch):
+    # an f' row, O(c_f) at the series cut, sat at its round-off above
+    # solve_bvp's Newton stopping test and spent scipy's cap of four
+    # Jacobians on a pass: 13 for 4 passes at this tolerance
+    real, seen = solver.solve_bvp, []
+
+    def spy(fun, bc, x, y, p, fun_jac, **kwargs):
+        count = [0]
+
+        def counted(r, yy, pp):
+            # each Jacobian reads fun_jac on the nodes and on the midpoints;
+            # only the nodes start at the series cut
+            count[0] += r[0] == core.R_START
+            return fun_jac(r, yy, pp)
+
+        sol = real(fun, bc, x, y, p, fun_jac=counted, **kwargs)
+        seen.append((count[0], sol.niter))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_bvp", spy)
+    _, rep = solver.solve_spiral(1, 0.5, tol=1e-11)
+    assert rep.status == 0 and seen
+    for jacobians, passes in seen:
+        assert 0 < jacobians <= passes
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_converges_at_tolerance_1e12(n):
+    # n = 1 once stopped on the node budget after about 8 s; n = 3 still
+    # does (README, "Solver limits")
+    _, ref = solver.solve_spiral(n, 0.5)
+    _, rep = solver.solve_spiral(n, 0.5, tol=1e-12)
+    assert rep.status == 0 and not rep.properties["suspect"]
     assert rep.k_numeric == pytest.approx(ref.k_numeric, rel=1e-10)
 
 

@@ -18,12 +18,12 @@ bit-identity is checked with
 The cases are cold n = 1 solves across both signs of q and past q = 1,
 explicit matching radii on either side of the validated window, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
-n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, and the
-benchmark's unjittered 15-twist n = 1 sweep.  The other producers
-of the radial-profile record follow: the untwisted q = 0 solves, with the
-last value of their first integral, and one march from the origin at the
-converged n = 1, q = 0.5 solve, with the last values of its first integral
-and of v.  Last come the sha256 digests of a small CSV and JSON export of
+n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, n = 1
+and 2 at 1e-12, and the benchmark's unjittered 15-twist n = 1 sweep.  The
+other producers of the radial-profile record follow: the untwisted q = 0
+solves, with the last value of their first integral, and one march from
+the origin at the converged n = 1, q = 0.5 solve, with the last values of
+its first integral and of v.  Last come the sha256 digests of a small CSV and JSON export of
 the field of that solve, so a change to the writers is diffed like a solve.
 """
 
@@ -40,6 +40,7 @@ SOLVES = [
       for s in (1, -1)),
     (3, 0.5, {"r_max": None}), (3, -0.5, {"r_max": None}),
     (1, 0.5, {"tol": 1e-11}),
+    *((n, 0.5, {"tol": 1e-12}) for n in (1, 2)),
 ]
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
 
