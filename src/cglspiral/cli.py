@@ -5,11 +5,14 @@ untwisted core profile, the selection formula, the twisted boundary value
 solve and sweeps, reduced-to-physical parameter maps, field export, and a
 self-check that prints the margin of every standing invariant.
 
-Every run writes a ``<command>_manifest.json`` into the output directory
-echoing the fully resolved configuration, so any emitted file can be
-reproduced from its manifest alone.  Outputs carry no timestamps and use
-17-significant-digit decimal formatting throughout: identical
-configuration gives byte-identical files.
+Each subcommand declares only the options it reads, with their defaults,
+and they follow the subcommand name; an option a subcommand does not read
+is refused with usage.  Every run writes a ``<command>_manifest.json`` into
+the output directory holding every parsed option plus the values the
+handler resolved from them, so any emitted file can be reproduced from its
+manifest alone.  Outputs carry no timestamps and use 17-significant-digit
+decimal formatting throughout: identical configuration gives
+byte-identical files.
 
 Exit codes: 0 success, 1 domain or configuration error, 2 numerical
 non-convergence.
@@ -59,16 +62,23 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_manifest(args, command, config, outputs):
-    out_dir = args.out_dir
-    path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    doc = {"command": command, "config": config,
+# namespace entries that do not shape the run's outputs
+_NOT_CONFIG = ("command", "handler", "out_dir", "quiet")
+
+
+def _write_manifest(args, outputs, **resolved):
+    """Write the command's manifest: its parsed options, then the values
+    its handler resolved from them."""
+    config = {key: val for key, val in vars(args).items()
+              if key not in _NOT_CONFIG}
+    config.update(resolved)
+    doc = {"command": args.command, "config": config,
            "outputs": [p.name for p in outputs]}
-    _write_text(path, _json_text(doc))
-    return path
+    name = f"{args.command.replace('-', '_')}_manifest.json"
+    _write_text(args.out_dir / name, _json_text(doc))
 
 
-def _emit(args, doc):
+def _emit(doc):
     sys.stdout.write(_json_text(doc))
 
 
@@ -78,7 +88,7 @@ def _note(args, message):
 
 
 def _number(text):
-    """A finite float from an option, a config value or a report field.
+    """A finite float from an option or a report field.
 
     nan and inf are refused: no command has a meaning for them, and JSON
     cannot carry them.  As an argparse type the refusal exits 1 with usage.
@@ -104,25 +114,6 @@ def _number_list(text):
     if not vals:
         raise argparse.ArgumentTypeError("needs at least one twist")
     return vals
-
-
-def _resolve(args, key, default):
-    """Layer a value: command line beats config file beats default.
-
-    A config value for a numeric option passes the same finite-number
-    check as the flag.
-    """
-    val = getattr(args, key, None)
-    if val is None:
-        val = args.config_values.get(key)
-        if val is not None and isinstance(default, float):
-            try:
-                val = _number(val)
-            except argparse.ArgumentTypeError as exc:
-                raise CliError(f"config {key}: {exc}") from None
-    if val is None:
-        val = default
-    return val
 
 
 def _parse_grid_spec(spec):
@@ -156,11 +147,11 @@ def _cmd_bessel_eval(args):
     ev = specfun.k_imag(args.nu, args.x, method=method)
     doc = {"kind": "Kinu", "nu": ev.nu, "x": ev.x, "value": ev.value,
            "derivative": ev.derivative, "method": ev.method,
-           # the trapezoid sum matches mpmath to this relative bound
-           "err_estimate": 1e-12}
-    config = {"kind": "Kinu", "nu": ev.nu, "x": ev.x, "method": args.method}
-    _write_manifest(args, "bessel-eval", config, [])
-    _emit(args, doc)
+           # the trapezoid sum matches mpmath to this relative bound; the
+           # quadrature oracle raises past 1e-9
+           "err_estimate": 1e-12 if ev.method == "trapezoid" else 1e-9}
+    _write_manifest(args, [])
+    _emit(doc)
     return 0
 
 
@@ -173,32 +164,26 @@ def _cmd_outer_eval(args):
         V0[i], dV0[i], F0[i], v[i] = outer.far_field(
             params.n, params.q, params.k, Ri)
     resid = dV0 - (1.0 - params.nu ** 2 / R ** 2 - V0 / R - V0 ** 2)
-    out = args.out_dir / _resolve(args, "out", "outer_eval.csv")
-    field.write_csv(out, "r,R,V0,F0,v_out,f_out,riccati_residual",
-                    [r, R, V0, F0, v, F0, resid])
-    config = {"n": args.n, "q": args.q, "k": args.k,
-              "r_grid": args.r_grid, "out": out.name}
-    _write_manifest(args, "outer-eval", config, [out])
+    out = args.out_dir / args.out
+    field.write_csv(out, "r,R,V0,F0,v_out,riccati_residual",
+                    [r, R, V0, F0, v, resid])
+    _write_manifest(args, [out])
     _note(args, f"wrote {out}")
     return 0
 
 
 def _cmd_inner_solve(args):
-    n = args.n
-    r_max = _resolve(args, "r_max", 400.0)
-    tol = _resolve(args, "tol", 1e-11)
-    profile = core.solve_profile(n, r_max=r_max, tol=tol)
+    profile = core.solve_profile(args.n, r_max=args.r_max, tol=args.tol)
     tail = core.tail_constant(profile)
     r = np.geomspace(profile.r_start, profile.r_max, 1500)
     f = profile.f(r)
     df = profile.df(r)
     integrand = r * f * f * (1.0 - f * f)
-    out = args.out_dir / _resolve(args, "out", "inner_profile.csv")
+    out = args.out_dir / args.out
     field.write_csv(out, "r,f0,df0,v0_integrand", [r, f, df, integrand])
-    config = {"n": n, "r_max": r_max, "tol": tol, "out": out.name}
-    _write_manifest(args, "inner-solve", config, [out])
-    _emit(args, {"c_f": profile.c_f, "C_n": tail.value,
-                 "convergence_gap": tail.halving_gap})
+    _write_manifest(args, [out])
+    _emit({"c_f": profile.c_f, "C_n": tail.value,
+           "convergence_gap": tail.halving_gap})
     return 0
 
 
@@ -217,9 +202,8 @@ def _cmd_kappa(args):
         # the matching window degenerates for q >= 1; the formula value
         # is still reported
         doc.update(rho=None, log_r0=None, alpha=None, alpha_design=None)
-    config = {"n": n, "q": args.q, "cn": args.cn, "cn_resolved": cn}
-    _write_manifest(args, "kappa", config, [])
-    _emit(args, doc)
+    _write_manifest(args, [], cn_resolved=cn)
+    _emit(doc)
     return 0
 
 
@@ -242,34 +226,27 @@ def _report_doc(rep, profile, tol):
 
 def _cmd_solve(args):
     n = args.n
-    tol = _resolve(args, "tol", 1e-10)
     r_max = None if args.r_max == "auto" else float(args.r_max)
     init = None
     if args.k_init != "auto":
         init = (core.solve_profile(n).c_f, float(args.k_init))
-    profile, rep = solver.solve_spiral(n, args.q, init=init, tol=tol,
+    profile, rep = solver.solve_spiral(n, args.q, init=init, tol=args.tol,
                                        r_max=r_max)
-    doc = _report_doc(rep, profile, tol)
-    report_path = args.out_dir / _resolve(args, "out", "solve_report.json")
+    doc = _report_doc(rep, profile, args.tol)
+    report_path = args.out_dir / args.out
     _write_text(report_path, _json_text(doc))
     csv_path = args.out_dir / (report_path.stem.replace("_report", "")
                                + "_profile.csv")
     field.write_csv(csv_path, "r,f,df,v,w,first_integral",
                     [profile.r_grid, profile.f, profile.df, profile.v,
                      profile.w, profile.integral])
-    config = {"n": n, "q": args.q, "tol": tol,
-              "r_max": args.r_max or "auto", "k_init": args.k_init or "auto",
-              "out": report_path.name}
-    _write_manifest(args, "solve", config, [report_path, csv_path])
-    _emit(args, doc)
+    _write_manifest(args, [report_path, csv_path])
+    _emit(doc)
     return 0
 
 
 def _cmd_sweep(args):
-    n = args.n
-    tol = _resolve(args, "tol", 1e-10)
-    q_list = args.q_list
-    reports = solver.wavenumber_sweep(n, q_list, tol=tol)
+    reports = solver.wavenumber_sweep(args.n, args.q_list, tol=args.tol)
     rows = []
     failed = []
     for rep in reports:
@@ -279,12 +256,11 @@ def _cmd_sweep(args):
                      rep.newton_iterations, rep.residual])
         if rep.status != 0:
             failed.append((rep.q, rep.message))
-    out = args.out_dir / _resolve(args, "out", "sweep_report.csv")
+    out = args.out_dir / args.out
     field.write_csv(out, "q,k_numeric,log_k_numeric,k_asym,ratio,"
                          "abs_ratio_minus_1_times_logq,iters,residual",
                     [np.array(col) for col in zip(*rows)])
-    config = {"n": n, "q_list": q_list, "tol": tol, "out": out.name}
-    _write_manifest(args, "sweep", config, [out])
+    _write_manifest(args, [out])
     _note(args, f"wrote {out}")
     if failed:
         for q, msg in failed:
@@ -295,6 +271,9 @@ def _cmd_sweep(args):
 
 def _cmd_physical(args):
     if args.from_solve is not None:
+        if args.q is not None or args.k is not None:
+            raise CliError("--from-solve takes q and k from the report; "
+                           "pass either --from-solve or --q and --k")
         try:
             with open(args.from_solve) as fh:
                 rep = json.load(fh)
@@ -307,8 +286,7 @@ def _cmd_physical(args):
         if args.q is None or args.k is None:
             raise CliError("pass --q and --k, or --from-solve report.json")
         q, k = args.q, args.k
-    alpha = _resolve(args, "alpha", 0.0)
-    trip = physical.physical_from_reduced(alpha, q, k)
+    trip = physical.physical_from_reduced(args.alpha, q, k)
     doc = {"alpha": trip.alpha, "beta": trip.beta, "Omega": trip.Omega,
            "k_star": trip.k_star, "a": trip.a, "delta": trip.delta,
            "q": trip.q, "k": trip.k, "Omega_hat": trip.Omega_hat}
@@ -316,9 +294,8 @@ def _cmd_physical(args):
                                            trip.k_star)
     doc["dispersion_residual"] = res1
     doc["amplitude_residual"] = res2
-    config = {"alpha": alpha, "q": q, "k": k, "from_solve": args.from_solve}
-    _write_manifest(args, "physical", config, [])
-    _emit(args, doc)
+    _write_manifest(args, [], q=q, k=k)
+    _emit(doc)
     return 0
 
 
@@ -338,22 +315,19 @@ def _cmd_field(args):
     # rebuild the profile from the report's warm start, enlarging the
     # domain when the requested window extends past the reported one
     r_max = max(rep_rmax, args.extent)
-    tol = _resolve(args, "tol", rep_tol)
+    tol = rep_tol if args.tol is None else args.tol
     profile, rep2 = solver.solve_spiral(n, q, init=(c_f, k), tol=tol,
                                         r_max=r_max)
     table = field.theta_of_r(profile)
-    omega = _resolve(args, "omega", q * (1.0 - rep2.k_numeric ** 2))
+    omega = q * (1.0 - rep2.k_numeric ** 2) if args.omega is None \
+        else args.omega
     grid = field.sample_field(profile, table, n, omega, args.t,
                               (args.nx, args.ny, args.extent),
                               chirality=args.chirality)
-    out = args.out_dir / _resolve(args, "out", "field.csv")
+    out = args.out_dir / args.out
     fmt = "json" if str(out).endswith(".json") else "csv"
     field.export(grid, out, fmt)
-    config = {"solve_report": args.solve_report, "nx": args.nx,
-              "ny": args.ny, "extent": args.extent, "t": args.t,
-              "chirality": args.chirality, "omega": omega, "tol": tol,
-              "out": out.name}
-    _write_manifest(args, "field", config, [out])
+    _write_manifest(args, [out], tol=tol, omega=omega)
     _note(args, f"wrote {out}")
     return 0
 
@@ -417,10 +391,10 @@ def _selfcheck_rows():
 def _cmd_selfcheck(args):
     rows = _selfcheck_rows()
     ok = all(value <= bound for _, value, bound in rows)
-    if args.as_json:
+    if args.json:
         doc = [{"check": name, "value": value, "bound": bound,
                 "ok": value <= bound} for name, value, bound in rows]
-        _emit(args, doc)
+        _emit(doc)
     else:
         width = max(len(name) for name, _, _ in rows)
         lines = [f"{'check':<{width}}  {'value':>12}  {'bound':>9}  "
@@ -431,116 +405,103 @@ def _cmd_selfcheck(args):
             lines.append(f"{name:<{width}}  {value:>12.3e}  {bound:>9.1e}  "
                          f"{margin:>8.1f}x  {status}")
         sys.stdout.write("\n".join(lines) + "\n")
-    config = {}
-    _write_manifest(args, "selfcheck", config, [])
+    _write_manifest(args, [])
     return 0 if ok else 2
 
 
 # ----------------------------------------------------------------- parser
 
-def _add_global_options(parser, suppress):
-    # the same options live on the main parser (with real defaults) and on
-    # every subparser (defaulting to SUPPRESS so they do not clobber values
-    # given before the subcommand)
-    d = argparse.SUPPRESS if suppress else None
-    flag_d = argparse.SUPPRESS if suppress else False
-    parser.add_argument("--config", default=d,
-                        help="JSON file with default option values; "
-                             "explicit flags win")
-    parser.add_argument("--tol", type=_number, default=d,
-                        help="numerical tolerance for solver commands")
-    parser.add_argument("--out-dir", dest="out_dir", default=d,
-                        help="directory for output files and manifests "
-                             "(default: current directory)")
-    parser.add_argument("--quiet", action="store_true", default=flag_d,
-                        help="suppress status notes (results still print)")
-    parser.add_argument("--json", dest="as_json", action="store_true",
-                        default=flag_d,
-                        help="machine-readable output where a table is the "
-                             "default")
-
-
 def build_parser():
     parser = _Parser(prog="cglspiral",
                      description="spiral-wave profiles, selected wavenumbers "
                                  "and their asymptotics")
-    _add_global_options(parser, suppress=False)
     common = _Parser(add_help=False)
-    _add_global_options(common, suppress=True)
+    common.add_argument("--out-dir", type=Path, default=Path("."),
+                        help="directory for output files and the manifest "
+                             "(default: current directory)")
+    common.add_argument("--quiet", action="store_true",
+                        help="suppress status notes (results still print)")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("bessel-eval", parents=[common], help="evaluate K_{i nu}(x) and its derivative")
-    p.add_argument("--kind", required=True, choices=("Kinu",))
+    def command(name, handler, text):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(handler=handler)
+        return p
+
+    def tol_option(p, default, text="%(default)s"):
+        p.add_argument("--tol", type=_number, default=default,
+                       help=f"solver tolerance (default: {text})")
+
+    p = command("bessel-eval", _cmd_bessel_eval,
+                "evaluate K_{i nu}(x) and its derivative")
     p.add_argument("--nu", type=_number, required=True)
     p.add_argument("--x", type=_number, required=True)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "quad"))
-    p.set_defaults(handler=_cmd_bessel_eval)
+    p.add_argument("--method", default="auto", choices=("auto", "quad"))
 
-    p = sub.add_parser("outer-eval", parents=[common], help="tabulate the far-field branch")
+    p = command("outer-eval", _cmd_outer_eval,
+                "tabulate the far-field branch")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_number, required=True)
     p.add_argument("--k", type=_number, required=True)
     p.add_argument("--r-grid", type=_grid_spec, required=True,
                    help="radial grid as lo:hi:count (geometric) or "
                         "lo:hi:count:lin")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_outer_eval)
+    p.add_argument("--out", default="outer_eval.csv")
 
-    p = sub.add_parser("inner-solve", parents=[common], help="solve the untwisted core profile")
+    p = command("inner-solve", _cmd_inner_solve,
+                "solve the untwisted core profile")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-max", dest="r_max", type=_number, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_inner_solve)
+    p.add_argument("--r-max", type=_number, default=400.0)
+    tol_option(p, 1e-11)
+    p.add_argument("--out", default="inner_profile.csv")
 
-    p = sub.add_parser("kappa", parents=[common], help="selected-wavenumber asymptotics")
+    p = command("kappa", _cmd_kappa, "selected-wavenumber asymptotics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_number, required=True)
     p.add_argument("--cn", type=_number_or_auto, default="auto",
                    help="matching constant: a number, or 'auto' to compute "
                         "it from the core profile")
-    p.set_defaults(handler=_cmd_kappa)
 
-    p = sub.add_parser("solve", parents=[common], help="twisted profile and wavenumber solve")
+    p = command("solve", _cmd_solve, "twisted profile and wavenumber solve")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_number, required=True)
-    p.add_argument("--k-init", dest="k_init", type=_number_or_auto,
-                   default="auto")
-    p.add_argument("--r-max", dest="r_max", type=_number_or_auto,
-                   default="auto")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_solve)
+    p.add_argument("--k-init", type=_number_or_auto, default="auto")
+    p.add_argument("--r-max", type=_number_or_auto, default="auto")
+    tol_option(p, 1e-10)
+    p.add_argument("--out", default="solve_report.json")
 
-    p = sub.add_parser("sweep", parents=[common], help="descending-twist wavenumber sweep")
+    p = command("sweep", _cmd_sweep, "descending-twist wavenumber sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q-list", dest="q_list", type=_number_list,
-                   required=True,
+    p.add_argument("--q-list", type=_number_list, required=True,
                    help="comma-separated strictly descending twists")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_sweep)
+    tol_option(p, 1e-10)
+    p.add_argument("--out", default="sweep_report.csv")
 
-    p = sub.add_parser("physical", parents=[common], help="map reduced parameters to physical")
-    p.add_argument("--alpha", type=_number, default=None)
-    p.add_argument("--q", type=_number, default=None)
-    p.add_argument("--k", type=_number, default=None)
-    p.add_argument("--from-solve", dest="from_solve", default=None,
-                   help="pull q and k from a solve report JSON")
-    p.set_defaults(handler=_cmd_physical)
+    p = command("physical", _cmd_physical,
+                "map reduced parameters to physical")
+    p.add_argument("--alpha", type=_number, default=0.0)
+    p.add_argument("--q", type=_number)
+    p.add_argument("--k", type=_number)
+    p.add_argument("--from-solve",
+                   help="pull q and k from a solve report JSON, in place "
+                        "of --q and --k")
 
-    p = sub.add_parser("field", parents=[common], help="sample and export the planar field")
-    p.add_argument("--solve-report", dest="solve_report", required=True)
+    p = command("field", _cmd_field, "sample and export the planar field")
+    p.add_argument("--solve-report", required=True)
     p.add_argument("--nx", type=int, default=512)
     p.add_argument("--ny", type=int, default=512)
     p.add_argument("--extent", type=_number, required=True)
     p.add_argument("--t", type=_number, default=0.0)
     p.add_argument("--chirality", type=int, default=1, choices=(1, -1))
-    p.add_argument("--omega", type=_number, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_field)
+    p.add_argument("--omega", type=_number,
+                   help="frequency (default: q (1 - k^2) of the solve)")
+    tol_option(p, None, "the report's tol")
+    p.add_argument("--out", default="field.csv")
 
-    p = sub.add_parser("selfcheck", parents=[common], help="run the invariant suite and print "
-                                         "margins")
-    p.set_defaults(handler=_cmd_selfcheck)
+    p = command("selfcheck", _cmd_selfcheck,
+                "run the invariant suite and print margins")
+    p.add_argument("--json", action="store_true",
+                   help="print the checks as JSON instead of a table")
     return parser
 
 
@@ -553,18 +514,6 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    args.config_values = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                args.config_values = json.load(fh)
-            if not isinstance(args.config_values, dict):
-                raise CliError(f"config {args.config!r} must hold a JSON "
-                               "object")
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"cglspiral: bad config: {exc}\n")
-            return 1
-    args.out_dir = Path(_resolve(args, "out_dir", "."))
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

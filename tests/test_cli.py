@@ -64,8 +64,8 @@ class TestDispatch:
 
 class TestBesselEval:
     def test_imag_order_json(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "bessel-eval", "--kind", "Kinu", "--nu",
-                         "0.1", "--x", "1.0", "--out-dir", str(tmp_path))
+        rc, out, _ = run(capsys, "bessel-eval", "--nu", "0.1", "--x", "1.0",
+                         "--out-dir", str(tmp_path))
         assert rc == 0
         doc = json.loads(out)
         ev = specfun.k_imag(0.1, 1.0)
@@ -75,20 +75,22 @@ class TestBesselEval:
         assert doc["err_estimate"] == 1e-12
 
     def test_forced_method_agrees(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "bessel-eval", "--kind", "Kinu", "--nu",
-                         "0.1", "--x", "1.0", "--method", "quad",
-                         "--out-dir", str(tmp_path))
+        rc, out, _ = run(capsys, "bessel-eval", "--nu", "0.1", "--x", "1.0",
+                         "--method", "quad", "--out-dir", str(tmp_path))
         doc_q = json.loads(out)
-        rc, out, _ = run(capsys, "bessel-eval", "--kind", "Kinu", "--nu",
-                         "0.1", "--x", "1.0", "--method", "auto",
-                         "--out-dir", str(tmp_path))
+        rc, out, _ = run(capsys, "bessel-eval", "--nu", "0.1", "--x", "1.0",
+                         "--method", "auto", "--out-dir", str(tmp_path))
         doc_t = json.loads(out)
         assert doc_q["method"] == "quadrature"
         assert doc_q["value"] == pytest.approx(doc_t["value"], rel=1e-9)
+        # each method reports its own bound: the quadrature oracle raises
+        # QuadratureError only past 1e-9 relative
+        assert doc_q["err_estimate"] == 1e-9
+        assert doc_t["err_estimate"] == 1e-12
 
     def test_tiny_argument_is_domain_error(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "bessel-eval", "--kind", "Kinu", "--nu",
-                           "0.1", "--x", "1e-200", "--out-dir", str(tmp_path))
+        rc, out, err = run(capsys, "bessel-eval", "--nu", "0.1", "--x",
+                           "1e-200", "--out-dir", str(tmp_path))
         assert rc == 1
         assert "float64" in err
 
@@ -100,15 +102,15 @@ class TestBesselEval:
         assert out == ""
 
     def test_missing_order(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "bessel-eval", "--kind", "Kinu", "--x",
-                           "1.0", "--out-dir", str(tmp_path))
+        rc, out, err = run(capsys, "bessel-eval", "--x", "1.0",
+                           "--out-dir", str(tmp_path))
         assert rc == 1
         assert "--nu" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("argv,flag", [
-    (["bessel-eval", "--kind", "Kinu", "--nu", "0.3", "--x", "{}"], "--x"),
+    (["bessel-eval", "--nu", "0.3", "--x", "{}"], "--x"),
     (["kappa", "--n", "1", "--q", "{}"], "--q"),
     (["physical", "--alpha", "{}", "--q", "0.2", "--k", "0.1"], "--alpha"),
     (["solve", "--n", "1", "--q", "0.5", "--tol", "{}"], "--tol"),
@@ -126,6 +128,39 @@ def test_nonfinite_number_is_usage_error(capsys, tmp_path, argv, flag, bad):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["kappa", "--n", "1", "--q", "0.5", "--tol", "1e-3"],
+     "unrecognized arguments: --tol 1e-3"),
+    (["bessel-eval", "--nu", "0.3", "--x", "1.0", "--json"],
+     "unrecognized arguments: --json"),
+    (["physical", "--alpha", "0.3", "--q", "0.2", "--k", "0.1",
+      "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+    (["solve", "--n", "1", "--q", "0.5", "--json"],
+     "unrecognized arguments: --json"),
+    (["kappa", "--n", "1", "--q", "0.5", "--config", "{cfg}"],
+     "unrecognized arguments: --config"),
+    # before the subcommand a flag's value is read as the command name
+    (["--config", "{cfg}", "kappa", "--n", "1", "--q", "0.5"],
+     "invalid choice"),
+    (["--tol", "1e-8", "solve", "--n", "1", "--q", "0.5"],
+     "invalid choice: '1e-8'"),
+])
+def test_option_a_command_does_not_read_is_usage_error(capsys, tmp_path,
+                                                        argv, message):
+    # each subcommand accepts only the options it reads, and only after
+    # its name; nothing runs and no manifest is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-8}))
+    out_dir = tmp_path / "out"
+    rc, out, err = run(capsys, *[a.format(cfg=cfg) for a in argv],
+                       "--out-dir", str(out_dir))
+    assert rc == 1
+    assert "usage" in err
+    assert message in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 class TestOuterEval:
     def test_csv_columns_and_residual(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
@@ -134,10 +169,10 @@ class TestOuterEval:
         assert rc == 0
         path = tmp_path / "outer_eval.csv"
         header = path.read_text().splitlines()[0]
-        assert header == "r,R,V0,F0,v_out,f_out,riccati_residual"
+        assert header == "r,R,V0,F0,v_out,riccati_residual"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (40, 7)
-        assert np.max(np.abs(data[:, 6])) <= 1e-8
+        assert data.shape == (40, 6)
+        assert np.max(np.abs(data[:, 5])) <= 1e-8
         assert np.all(data[:, 2] < 0)
 
     def test_unwritable_output_is_clean_error(self, capsys, tmp_path):
@@ -289,7 +324,7 @@ class TestSolveAndSweep:
         assert doc["k_numeric"] == pytest.approx(0.0936689780, abs=1e-6)
 
     @pytest.mark.parametrize("argv", [
-        ("--tol", "0", "inner-solve", "--n", "1"),
+        ("inner-solve", "--n", "1", "--tol", "0"),
         ("inner-solve", "--n", "1", "--tol=-1e-10"),
         ("solve", "--n", "1", "--q", "0.5", "--tol", "1e-15"),
         ("sweep", "--n", "1", "--q-list", "0.5,0.4", "--tol", "0")])
@@ -396,6 +431,20 @@ class TestPhysicalCommand:
         assert rc == 1
         assert "--from-solve" in err
 
+    @pytest.mark.parametrize("flags", [("--q", "0.3"), ("--k", "0.1"),
+                                       ("--q", "0.5", "--k", "0.09")])
+    def test_from_solve_refuses_explicit_twist(self, capsys, tmp_path,
+                                               flags):
+        # the report's q and k would win without a word
+        report = tmp_path / "solve_report.json"
+        report.write_text(json.dumps({"q": 0.5, "k_numeric": 0.09}))
+        rc, out, err = run(capsys, "physical", "--from-solve", str(report),
+                           *flags, "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "--from-solve" in err and "--q and --k" in err
+        assert out == ""
+        assert not (tmp_path / "physical_manifest.json").exists()
+
     def test_bad_report_path(self, capsys, tmp_path):
         rc, out, err = run(capsys, "physical", "--from-solve",
                            str(tmp_path / "nope.json"),
@@ -439,6 +488,29 @@ class TestFieldCommand:
         rc, _, _ = run(capsys, *argv, "--tol", "1e-8")
         assert rc == 0
         assert json.loads(manifest.read_text())["config"]["tol"] == 1e-8
+
+    def test_manifest_holds_parsed_and_resolved_options(self, capsys,
+                                                         tmp_path):
+        report = tmp_path / "solve_report.json"
+        rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        k = json.loads(report.read_text())["k_numeric"]
+        rc, _, _ = run(capsys, "field", "--solve-report", str(report),
+                       "--nx", "9", "--ny", "7", "--extent", "20",
+                       "--t", "0.25", "--chirality", "-1", "--out", "f.json",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "field_manifest.json").read_text())
+        assert manifest["command"] == "field"
+        assert manifest["outputs"] == ["f.json"]
+        config = manifest["config"]
+        # omega comes from the re-solved k, which matches the report's
+        assert config.pop("omega") == pytest.approx(0.5 * (1.0 - k * k),
+                                                    rel=1e-9)
+        assert config == {"solve_report": str(report), "nx": 9, "ny": 7,
+                          "extent": 20.0, "t": 0.25, "chirality": -1,
+                          "out": "f.json", "tol": 1e-10}
 
     def test_json_output_format(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
@@ -510,29 +582,6 @@ class TestReadmeExamples:
         assert report["ratio"] is None
         assert report["abs_ratio_minus_1_times_logq"] is None
         assert report["k_numeric"] == 0.0
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "fromcfg")}))
-        rc, out, _ = run(capsys, "kappa", "--n", "1", "--q", "0.5",
-                         "--config", str(cfg))
-        assert rc == 0
-        assert (tmp_path / "fromcfg" / "kappa_manifest.json").exists()
-        rc, out, _ = run(capsys, "kappa", "--n", "1", "--q", "0.5",
-                         "--config", str(cfg),
-                         "--out-dir", str(tmp_path / "flag"))
-        assert rc == 0
-        assert (tmp_path / "flag" / "kappa_manifest.json").exists()
-
-    def test_bad_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2")
-        rc, out, err = run(capsys, "kappa", "--n", "1", "--q", "0.5",
-                           "--config", str(cfg))
-        assert rc == 1
-        assert "config" in err
 
 
 class TestSelfcheck:

@@ -23,15 +23,22 @@ and 2 at 1e-12, and the benchmark's unjittered 15-twist n = 1 sweep.  The
 other producers of the radial-profile record follow: the untwisted q = 0
 solves, with the last value of their first integral, and one march from
 the origin at the converged n = 1, q = 0.5 solve, with the last values of
-its first integral and of v.  Last come the sha256 digests of a small CSV and JSON export of
-the field of that solve, so a change to the writers is diffed like a solve.
+its first integral and of v.  Then come the sha256 digests of a small CSV
+and JSON export of the field of that solve, so a change to the writers is
+diffed like a solve.  Last come the sha256 digests of the stdout and the
+output files of fixed in-process ``cli.main`` runs of ``solve``,
+``inner-solve``, ``sweep``, ``kappa``, ``physical``, ``field`` and
+``outer-eval`` in a temporary directory; manifests are not hashed.  Each
+run passes only flags its subcommand reads, after the subcommand name.
 """
 
+import contextlib
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
-from cglspiral import core, field, solver
+from cglspiral import cli, core, field, solver
 
 SOLVES = [
     *((1, q, {"r_max": None}) for q in (0.5, -0.5, 0.9, 1.2, 1.5)),
@@ -43,6 +50,22 @@ SOLVES = [
     *((n, 0.5, {"tol": 1e-12}) for n in (1, 2)),
 ]
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
+# run in order: physical and field read the report that solve writes
+CLI_RUNS = [
+    ["solve", "--n", "1", "--q", "0.5"],
+    ["inner-solve", "--n", "1"],
+    ["sweep", "--n", "1", "--q-list", "0.6,0.5", "--quiet"],
+    ["kappa", "--n", "1", "--q", "0.5"],
+    ["physical", "--alpha", "0.3", "--from-solve", "{dir}/solve_report.json"],
+    ["field", "--solve-report", "{dir}/solve_report.json", "--nx", "9",
+     "--ny", "7", "--extent", "20", "--t", "0.25", "--quiet"],
+    ["outer-eval", "--n", "1", "--q", "0.5", "--k", "0.09",
+     "--r-grid", "40:400:8", "--quiet"],
+]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def _line(label, profile, report):
@@ -107,8 +130,21 @@ def main():
         for fmt in ("csv", "json"):
             path = Path(tmp) / f"frame.{fmt}"
             field.export(grid, path, fmt)
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            digest = _sha256(path.read_bytes())
             print(f"export(1, 0.5, 33x25, {fmt}): sha256={digest}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in CLI_RUNS:
+            argv = [arg.format(dir=tmp) for arg in argv] + ["--out-dir", tmp]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = cli.main(argv)
+            print(f"cli {argv[0]}: rc={rc} "
+                  f"stdout sha256={_sha256(stdout.getvalue().encode())}")
+        for path in sorted(Path(tmp).iterdir()):
+            if not path.name.endswith("_manifest.json"):
+                print(f"cli file {path.name}: "
+                      f"sha256={_sha256(path.read_bytes())}")
 
 
 if __name__ == "__main__":
