@@ -21,6 +21,7 @@ non-convergence.
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -67,13 +68,13 @@ _NOT_CONFIG = ("command", "handler", "out_dir", "quiet")
 
 
 def _write_manifest(args, outputs, **resolved):
-    """Write the command's manifest: its parsed options, then the values
-    its handler resolved from them."""
+    """Write the command's manifest: its parsed options, the values its
+    handler resolved from them, and its outputs relative to --out-dir."""
     config = {key: val for key, val in vars(args).items()
               if key not in _NOT_CONFIG}
     config.update(resolved)
     doc = {"command": args.command, "config": config,
-           "outputs": [p.name for p in outputs]}
+           "outputs": [os.path.relpath(p, args.out_dir) for p in outputs]}
     name = f"{args.command.replace('-', '_')}_manifest.json"
     _write_text(args.out_dir / name, _json_text(doc))
 
@@ -235,8 +236,8 @@ def _cmd_solve(args):
     doc = _report_doc(rep, profile, args.tol)
     report_path = args.out_dir / args.out
     _write_text(report_path, _json_text(doc))
-    csv_path = args.out_dir / (report_path.stem.replace("_report", "")
-                               + "_profile.csv")
+    csv_path = report_path.with_name(report_path.stem.replace("_report", "")
+                                     + "_profile.csv")
     field.write_csv(csv_path, "r,f,df,v,w,first_integral",
                     [profile.r_grid, profile.f, profile.df, profile.v,
                      profile.w, profile.integral])
@@ -507,7 +508,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # argparse would read an option's value as the command name
+        if argv and argv[0][:1] == "-" and argv[0] not in ("-h", "--help"):
+            parser.error(f"option {argv[0].split('=')[0]} comes before the "
+                         "subcommand; options follow the subcommand name")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0

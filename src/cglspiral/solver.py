@@ -9,10 +9,10 @@ the series cut.  w obeys the exact first integral
 w' = -q r f^2 (1 - f^2 - k^2), which keeps the phase equation regular
 through the origin where dividing by f would not be.
 
-The two-point problem runs from core.series_start at core.R_START to an
-outer matching radius r_max chosen so that k|q| r_max is order one, where f
-and v are tied to the decaying far-field pair built from the imaginary
-order Bessel cone (see :mod:`cglspiral.outer`).  A damped-Newton
+One collocation solve per twist runs from core.series_start at
+core.R_START to an outer matching radius r_max (see :func:`solve_spiral`),
+where f and v are tied to the decaying far-field pair built from the
+imaginary order Bessel cone (see :mod:`cglspiral.outer`).  A damped-Newton
 collocation scheme (scipy's solve_bvp) carries (c_f, log k) as unknown
 parameters; log k because k spans many orders of magnitude across a
 twist sweep.  Newton runs on the exact Jacobians of the equations and
@@ -48,10 +48,9 @@ _TINY = 1e-300
 N_MESH = 1400
 # largest matching radius a cold solve may ask for
 MAX_DOMAIN = 1e5
-# target for k|q|*r_max; the outer-dominant model error shrinks with R,
-# the domain (and node count) grows, and [0.5, 2] is the validated window
+# k|q|*r_max at the seed k; the truncation error of matching at r_max
+# falls exponentially in R while the domain (and node count) grows
 R_MATCH_TARGET = 1.6
-R_MATCH_WINDOW = (0.5, 2.0)
 # stated bound on sup |w + q I|, the first integral's gap
 FIRST_INTEGRAL_BOUND = 1e-9
 
@@ -123,8 +122,7 @@ class RadialProfile:
 class WavenumberReport:
     """Outcome of one full solve, with the asymptotic comparison.
 
-    ``newton_iterations`` is solve_bvp's ``niter``, the mesh-refinement
-    passes of the last matching-radius attempt, not Newton steps.
+    ``newton_iterations`` is solve_bvp's ``niter``, its mesh passes.
     """
 
     n: int
@@ -329,8 +327,8 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
 
 
 def _check_properties(profile, report):
-    """Pointwise structure checks and the first-integral bound;
-    violations mark the solve suspect."""
+    """Pointwise structure checks, the first-integral bound and the
+    matching radius; violations mark the solve suspect."""
     k2 = profile.k * profile.k
     cap = math.sqrt(1.0 - k2)
     f, v = profile.f, profile.v
@@ -342,6 +340,8 @@ def _check_properties(profile, report):
                                 100.0 * (profile.n ** 2 / profile.r_max ** 3
                                          + profile.k * k2 * abs(profile.q))),
         "first_integral": profile.first_integral_gap() <= FIRST_INTEGRAL_BOUND,
+        "matching_radius": profile.q == 0 or (
+            profile.k * abs(profile.q) * profile.r_max >= R_MATCH_TARGET / 2),
     }
     props["suspect"] = not all(props.values())
     report.properties = props
@@ -370,8 +370,9 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
 
     ``init`` optionally supplies (c_f, k) starting values; by default the
     untwisted core slope and the asymptotic wavenumber seed the solve.
-    The matching radius (unless given) targets k|q| r_max ~ 1.6 and is
-    re-adapted if the converged k lands outside the validated window.
+    Unless given, r_max = R_MATCH_TARGET / (k0 |q|) for the seed k0, so
+    R = k|q| r_max = 1.6 k/k0: at least 1.6 from a cold seed (never above
+    k), about 1.55 from a sweep's warm one; R < 0.8 marks the solve suspect.
     A matching radius beyond the domain budget MAX_DOMAIN is refused
     before the solve that would use it, with the radius spelled out.  The
     outer boundary condition is outer.far_field itself, so a Newton
@@ -397,23 +398,15 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
             f"twist q={q} is below the tractable window: the selected "
             f"wavenumber has log k = {ka.log_value:.1f}, far beyond "
             "double-precision dynamic range")
-    for _ in range(3):
-        # the matching radius for the current k; re-adapting it around a
-        # converged k starts a fresh mesh seeded with that (c_f, k)
-        r_match = R_MATCH_TARGET / (k0 * abs(q)) if r_max is None else r_max
-        if r_max is None and r_match > MAX_DOMAIN:
-            raise ValueError(
-                f"twist q={q} needs a matching radius ~{r_match:.3g} "
-                f"(log k = {math.log(k0):.2f}), beyond the domain budget "
-                f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
-        sol = _collocation_solve(n, q, k0, c0, r_match, tol)
-        c0, k0 = float(sol.p[0]), float(np.exp(sol.p[1]))
-        R_actual = k0 * abs(q) * r_match
-        if r_max is not None or R_MATCH_WINDOW[0] <= R_actual <= R_MATCH_WINDOW[1]:
-            break
-
-    k = k0
-    profile = _profile(n, q, k, c0, sol.x, sol.y, sol.sol)
+    r_match = R_MATCH_TARGET / (k0 * abs(q)) if r_max is None else r_max
+    if r_max is None and r_match > MAX_DOMAIN:
+        raise ValueError(
+            f"twist q={q} needs a matching radius ~{r_match:.3g} "
+            f"(log k = {math.log(k0):.2f}), beyond the domain budget "
+            f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
+    sol = _collocation_solve(n, q, k0, c0, r_match, tol)
+    k = float(np.exp(sol.p[1]))
+    profile = _profile(n, q, k, float(sol.p[0]), sol.x, sol.y, sol.sol)
     params = SpiralParams(n=n, q=q, k=k)
     _, _, f_o, v_o = outer.far_field(n, q, k, params.eps * profile.r_max)
     ratio = k / ka.value if ka.value > 0 else math.inf

@@ -139,11 +139,14 @@ def test_nonfinite_number_is_usage_error(capsys, tmp_path, argv, flag, bad):
      "unrecognized arguments: --json"),
     (["kappa", "--n", "1", "--q", "0.5", "--config", "{cfg}"],
      "unrecognized arguments: --config"),
-    # before the subcommand a flag's value is read as the command name
-    (["--config", "{cfg}", "kappa", "--n", "1", "--q", "0.5"],
-     "invalid choice"),
-    (["--tol", "1e-8", "solve", "--n", "1", "--q", "0.5"],
-     "invalid choice: '1e-8'"),
+    # before the subcommand a flag is named, not its value read as the
+    # command name
+    pytest.param(["--config", "{cfg}", "kappa", "--n", "1", "--q", "0.5"],
+                 "option --config comes before the subcommand; options "
+                 "follow the subcommand name", id="config-before-subcommand"),
+    pytest.param(["--tol", "1e-8", "solve", "--n", "1", "--q", "0.5"],
+                 "option --tol comes before the subcommand; options "
+                 "follow the subcommand name", id="tol-before-subcommand"),
 ])
 def test_option_a_command_does_not_read_is_usage_error(capsys, tmp_path,
                                                         argv, message):
@@ -159,6 +162,25 @@ def test_option_a_command_does_not_read_is_usage_error(capsys, tmp_path,
     assert message in err
     assert out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["outer-eval", "--n", "1", "--q", "0.5", "--k", "0.09",
+     "--r-grid", "40:400:8"],
+    ["inner-solve", "--n", "1"],
+    ["sweep", "--n", "1", "--q-list", "0.6"],
+])
+def test_manifest_outputs_relative_to_out_dir(capsys, tmp_path, argv):
+    # an --out with a directory part is listed with it, so the manifest
+    # locates every file it names
+    (tmp_path / "sub").mkdir()
+    rc, _, _ = run(capsys, *argv, "--out", "sub/table.csv",
+                   "--out-dir", str(tmp_path), "--quiet")
+    assert rc == 0
+    name = f"{argv[0].replace('-', '_')}_manifest.json"
+    manifest = json.loads((tmp_path / name).read_text())
+    assert manifest["outputs"] == ["sub/table.csv"]
+    assert (tmp_path / "sub" / "table.csv").is_file()
 
 
 class TestOuterEval:
@@ -335,6 +357,20 @@ class TestSolveAndSweep:
         rc, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
         assert rc == 1
         assert "core.TOL_FLOOR = 2.22e-14" in err
+
+    def test_out_with_directory_part(self, capsys, tmp_path):
+        # the profile CSV once landed in --out-dir itself, away from a
+        # report written into a subdirectory
+        (tmp_path / "sub").mkdir()
+        rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                       "--out", "sub/r_report.json",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
+        assert manifest["outputs"] == ["sub/r_report.json", "sub/r_profile.csv"]
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ["solve_manifest.json", *sorted(manifest["outputs"])]
 
     def test_solve_determinism(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

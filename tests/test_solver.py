@@ -25,8 +25,9 @@ def test_newton_converges_quickly(base):
 
 
 def test_selected_wavenumber_regression(base):
-    # value established by this solver with matching radius k q r_max = 1.6,
-    # stable to ~7e-5 relative under halving/doubling of that radius
+    # value established by this solver matching at r_max = 1.6 / (k0 q) from
+    # the cold seed k0 (R = k q r_max = 1.74), 6.5e-5 relative from the k
+    # continued to long matching radii
     _, rep = base
     assert rep.k_numeric == pytest.approx(0.0936689780, abs=1e-6)
 
@@ -71,10 +72,59 @@ def test_prefactor_and_ratio_consistent(base):
     assert mu_ratio == pytest.approx(rep.ratio, rel=1e-10)
 
 
-def test_matching_radius_in_window(base):
-    _, rep = base
-    R = rep.k_numeric * abs(rep.q) * rep.r_max
-    assert 0.5 <= R <= 2.0
+@pytest.mark.parametrize("n,q", [(1, 0.2), (1, 0.5), (1, -1.0), (1, 1.5),
+                                 (2, 0.3), (2, -0.5), (3, 0.5), (3, 0.7)])
+def test_cold_solve_matches_at_or_past_target(n, q):
+    # r_max = R_MATCH_TARGET / (k0 |q|) with the cold seed k0 = min(kappa,
+    # 0.3), which never exceeds the selected k, so R = k|q| r_max >= 1.6;
+    # the solve is not re-run to pull a larger R back to 1.6
+    _, rep = solver.solve_spiral(n, q)
+    assert rep.status == 0 and rep.properties["matching_radius"]
+    assert rep.k_numeric * abs(q) * rep.r_max >= solver.R_MATCH_TARGET
+
+
+@pytest.mark.parametrize("n,q", [(2, 0.5), (1, 1.0)])
+def test_one_collocation_solve_per_twist(monkeypatch, n, q):
+    # both converge at R > 2, where a retry once threw the solve away and
+    # solved again at R = 1.6, further from the converged k
+    core.solve_profile(n)
+    real, calls = solver.solve_bvp, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_bvp", spy)
+    _, rep = solver.solve_spiral(n, q)
+    assert rep.status == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,q", [(3, 0.5), (2, 0.5), (1, 1.0)])
+def test_cold_k_agrees_with_long_matching_radius(n, q):
+    # the error of matching at r_max falls like e^{-cR}: continued warm to
+    # R = 6.4 and then 12.8, k is converged far below this bound; a re-solve
+    # at R = 1.6 was off by 2.6e-3, 1.1e-3 and 6.9e-3
+    _, cold = solver.solve_spiral(n, q)
+    ref = cold
+    for R in (6.4, 12.8):
+        _, ref = solver.solve_spiral(n, q, init=(ref.c_f, ref.k_numeric),
+                                     r_max=R / (ref.k_numeric * abs(q)))
+        assert ref.status == 0 and not ref.properties["suspect"]
+    assert cold.k_numeric == pytest.approx(ref.k_numeric, rel=5e-4)
+
+
+def test_oversized_seed_marks_solve_suspect():
+    # a seed k five times the selected one puts r_max = 1.6 / (k0 |q|) at
+    # 6.4: the solve converges at R = k|q| r_max = 0.30, below
+    # R_MATCH_TARGET / 2, and is reported, not re-solved
+    c_f = core.solve_profile(1).c_f
+    _, rep = solver.solve_spiral(1, 0.5, init=(c_f, 0.5))
+    assert rep.status == 0
+    assert rep.k_numeric * 0.5 * rep.r_max < solver.R_MATCH_TARGET / 2
+    assert rep.properties["matching_radius"] is False
+    assert rep.properties["suspect"] is True
+    assert rep.message.endswith("checks failed: matching_radius")
 
 
 def test_zero_twist_is_untwisted_core():
@@ -83,6 +133,7 @@ def test_zero_twist_is_untwisted_core():
     assert math.isnan(rep.ratio)
     assert np.all(prof.v == 0.0)
     assert prof.first_integral_gap() == 0.0
+    assert rep.properties["matching_radius"] is True
     prof0 = core.solve_profile(1)
     r = np.geomspace(0.01, 100.0, 40)
     assert np.max(np.abs(prof.f_at(r) - prof0.f(r))) < 1e-12
@@ -119,8 +170,8 @@ def test_matching_radius_below_oscillation_floor_fails(r_max):
 
 
 def test_explicit_r_max_past_matching_window_reports_residuals():
-    # k|q| r_max ~ 1.4e3 lies far past R_MATCH_WINDOW; the endpoint is
-    # still checked against the far field, not reported as NaN
+    # k|q| r_max ~ 1.4e3 lies far past the automatic R ~ 1.6; the endpoint
+    # is still checked against the far field, not reported as NaN
     _, rep = solver.solve_spiral(1, 0.5, r_max=30000.0)
     assert rep.status == 0
     for m in rep.boundary_residuals:
@@ -459,11 +510,12 @@ def test_three_arm_solve_at_small_twist():
     _assert_mirror_pair(3, 0.3)
 
 
-@pytest.mark.parametrize("q", [0.35, 0.4, 0.5, 0.6, 0.7])
+@pytest.mark.parametrize("q", [0.35, 0.4, 0.5, 0.6, 0.7, 1.0])
 def test_three_arm_solve_converges(q):
     # each twist at both signs; with the series cut at 1e-3 every one of
-    # these stopped on the node budget; q = 0.8 and 1.0 are still out of
-    # reach (ROADMAP item 3)
+    # these stopped on the node budget; q = 1.0 converges at R = 6.5, where
+    # a re-solve at R = 1.6 put r_max inside the core and was refused;
+    # q = 0.8 is still out of reach (ROADMAP item 1)
     _assert_mirror_pair(3, q)
 
 

@@ -3,20 +3,20 @@ twisted solves.
 
 First comes one line per untwisted core solve ``core.solve_profile(n)``,
 n = 1, 2, 3, with c_f and the tail constant as ``float.hex`` and the
-collocation node count.  Then one line per twisted case: the case, k as
-``float.hex``, the collocation mesh node count and the report's
-``newton_iterations`` (or the error a refused case raises).  That count
-is solve_bvp's ``niter``, the number of mesh-refinement passes of the
-last matching-radius attempt, not of Newton steps.  Two trees give the
-same output exactly when every case keeps its c_f, tail constant or k
-bit for bit, its mesh and its pass count, so a refactor that claims
-bit-identity is checked with
+collocation node count.  Then one line per twisted case: the case, k and
+the matching radius r_max as ``float.hex``, the collocation mesh node
+count and the report's ``newton_iterations`` (or the error a refused case
+raises).  That count is solve_bvp's ``niter``, the number of
+mesh-refinement passes of the twist's one collocation solve, not of
+Newton steps.  Two trees give the same output exactly when every case
+keeps its c_f, tail constant, k and r_max bit for bit, its mesh and its
+pass count, so a refactor that claims bit-identity is checked with
 
     PYTHONPATH=src python3 tools/fingerprint.py > new.txt
     diff old.txt new.txt
 
 The cases are cold n = 1 solves across both signs of q and past q = 1,
-explicit matching radii on either side of the validated window, the cold
+two explicit matching radii far past the automatic one, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
 n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, n = 1
 and 2 at 1e-12, and the benchmark's unjittered 15-twist n = 1 sweep.  The
@@ -70,7 +70,8 @@ def _sha256(data):
 
 def _line(label, profile, report):
     return (f"{label}: k={float(report.k_numeric).hex()} "
-            f"nodes={profile.r_grid.size} iters={report.newton_iterations}")
+            f"r_max={report.r_max.hex()} nodes={profile.r_grid.size} "
+            f"iters={report.newton_iterations}")
 
 
 def main():
@@ -103,14 +104,13 @@ def main():
         reports = solver.wavenumber_sweep(1, SWEEP_TWISTS)
     finally:
         solver.solve_spiral = inner
-    meshes = {report.q: profile.r_grid.size for profile, report in solves}
+    profiles = {report.q: profile for profile, report in solves}
     for report in reports:
         label = f"sweep(1) q={report.q!r}"
         if report.status != 0:
             print(f"{label}: failed: {report.message}")
             continue
-        print(f"{label}: k={float(report.k_numeric).hex()} "
-              f"nodes={meshes[report.q]} iters={report.newton_iterations}")
+        print(_line(label, profiles[report.q], report))
 
     for n in (1, 2):
         profile, _ = solver.solve_spiral(n, 0.0)
