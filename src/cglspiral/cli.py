@@ -141,16 +141,32 @@ def _grid_spec(text):
     return text
 
 
+def _read_solve_report(path, *keys):
+    """The named fields of a solve report, in order: ``n`` as an integer,
+    every other one as a finite float."""
+    def field_value(key, val):
+        if key != "n":
+            return _number(val)
+        if type(val) is not int:
+            raise TypeError(f"'n' must be an integer, got {val!r}")
+        return val
+
+    try:
+        with open(path) as fh:
+            rep = json.load(fh)
+        return [field_value(key, rep[key]) for key in keys]
+    except (OSError, KeyError, json.JSONDecodeError, TypeError,
+            argparse.ArgumentTypeError) as exc:
+        raise CliError(f"cannot read solve report {path!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- commands
 
 def _cmd_bessel_eval(args):
-    method = {"auto": None, "quad": "quadrature"}[args.method]
-    ev = specfun.k_imag(args.nu, args.x, method=method)
-    doc = {"kind": "Kinu", "nu": ev.nu, "x": ev.x, "value": ev.value,
-           "derivative": ev.derivative, "method": ev.method,
-           # the trapezoid sum matches mpmath to this relative bound; the
-           # quadrature oracle raises past 1e-9
-           "err_estimate": 1e-12 if ev.method == "trapezoid" else 1e-9}
+    K, K1 = specfun.k_imag(args.nu, args.x)
+    # the trapezoid sum matches mpmath to this relative bound
+    doc = {"kind": "Kinu", "nu": args.nu, "x": args.x, "value": K,
+           "derivative": K1, "err_estimate": 1e-12}
     _write_manifest(args, [])
     _emit(doc)
     return 0
@@ -275,14 +291,7 @@ def _cmd_physical(args):
         if args.q is not None or args.k is not None:
             raise CliError("--from-solve takes q and k from the report; "
                            "pass either --from-solve or --q and --k")
-        try:
-            with open(args.from_solve) as fh:
-                rep = json.load(fh)
-            q, k = _number(rep["q"]), _number(rep["k_numeric"])
-        except (OSError, KeyError, json.JSONDecodeError,
-                argparse.ArgumentTypeError) as exc:
-            raise CliError(f"cannot read solve report "
-                           f"{args.from_solve!r}: {exc}") from exc
+        q, k = _read_solve_report(args.from_solve, "q", "k_numeric")
     else:
         if args.q is None or args.k is None:
             raise CliError("pass --q and --k, or --from-solve report.json")
@@ -301,24 +310,17 @@ def _cmd_physical(args):
 
 
 def _cmd_field(args):
-    try:
-        with open(args.solve_report) as fh:
-            rep = json.load(fh)
-        n, q = int(rep["n"]), _number(rep["q"])
-        k, c_f = _number(rep["k_numeric"]), _number(rep["c_f"])
-        rep_rmax, rep_tol = _number(rep["r_max"]), _number(rep["tol"])
-    except (OSError, KeyError, json.JSONDecodeError, TypeError,
-            argparse.ArgumentTypeError) as exc:
-        raise CliError(f"cannot read solve report {args.solve_report!r}: "
-                       f"{exc}") from exc
+    n, q, k, c_f, rep_rmax, rep_tol = _read_solve_report(
+        args.solve_report, "n", "q", "k_numeric", "c_f", "r_max", "tol")
     if args.extent <= 0:
         raise CliError(f"--extent must be positive, got {args.extent!r}")
-    # rebuild the profile from the report's warm start, enlarging the
-    # domain when the requested window extends past the reported one
+    # rebuild the profile from the report's warm start (an untwisted one
+    # has none), enlarging the domain when the requested window extends
+    # past the reported one
     r_max = max(rep_rmax, args.extent)
     tol = rep_tol if args.tol is None else args.tol
-    profile, rep2 = solver.solve_spiral(n, q, init=(c_f, k), tol=tol,
-                                        r_max=r_max)
+    profile, rep2 = solver.solve_spiral(n, q, init=(c_f, k) if q else None,
+                                        tol=tol, r_max=r_max)
     table = field.theta_of_r(profile)
     omega = q * (1.0 - rep2.k_numeric ** 2) if args.omega is None \
         else args.omega
@@ -341,10 +343,10 @@ def _selfcheck_rows():
 
     # the trapezoid sum against the quadrature oracle
     for nu, x in ((0.05, 0.5), (0.3, 1.0), (0.1, 12.0)):
-        ref = specfun.k_imag(nu, x, method="quadrature")
-        got = specfun.k_imag(nu, x)
-        add(f"K_{{i nu}} vs quadrature nu={nu} x={x}",
-            abs(got.value / ref.value - 1.0), 1e-9)
+        ref, _ = specfun.k_imag_quadrature(nu, x)
+        got, _ = specfun.k_imag(nu, x)
+        add(f"K_{{i nu}} vs quadrature nu={nu} x={x}", abs(got / ref - 1.0),
+            1e-9)
 
     scan = outer.property_scan(0.1, R_max=100.0, points=120)
     add("far-field slope equation residual", scan["riccati_worst"], 1e-8)
@@ -437,7 +439,6 @@ def build_parser():
                 "evaluate K_{i nu}(x) and its derivative")
     p.add_argument("--nu", type=_number, required=True)
     p.add_argument("--x", type=_number, required=True)
-    p.add_argument("--method", default="auto", choices=("auto", "quad"))
 
     p = command("outer-eval", _cmd_outer_eval,
                 "tabulate the far-field branch")

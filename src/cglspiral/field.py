@@ -116,14 +116,18 @@ def sample_field(profile, theta, n, omega, t, grid_spec, chirality=1):
     """Sample A(t) = f(r) exp(i(omega t + Theta(r) + chi n phi)) on a grid.
 
     ``grid_spec`` is (nx, ny, extent); the half-width extent must not
-    exceed the profile domain.  Corner samples outside r_max use the
-    frozen-amplitude linear-phase continuation of the phase table.
+    exceed the profile domain, and n must be the profile's arm count.
+    Corner samples outside r_max use the frozen-amplitude linear-phase
+    continuation of the phase table.
     """
     nx, ny, extent = grid_spec
     nx, ny = int(nx), int(ny)
     if nx < 2 or ny < 2:
         raise ValueError(f"grid must be at least 2x2, got {nx}x{ny}")
-    if extent <= 0.0:
+    if n != profile.n:
+        raise ValueError(f"arm count n={n!r} differs from the profile's "
+                         f"n={profile.n}")
+    if not extent > 0.0:
         raise ValueError(f"grid extent must be positive, got {extent!r}")
     if extent > profile.r_max * (1.0 + 1e-12):
         raise ValueError(

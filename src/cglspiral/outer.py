@@ -127,7 +127,7 @@ def slope_cotangent(nu, R):
     """
     if R <= 0.0:
         raise ValueError(f"stretched radius must be positive, got R={R!r}")
-    theta0 = specfun.gamma_arg(0, nu).theta
+    theta0 = specfun.gamma_arg(0, nu)
     return (nu / R) / math.tan(nu * math.log(0.5 * R) - theta0)
 
 

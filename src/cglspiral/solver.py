@@ -350,8 +350,9 @@ def _check_properties(profile, report):
             name for name, ok in props.items() if name != "suspect" and not ok)
 
 
-def _q0_solve(n):
-    prof0 = core.solve_profile(n)
+def _q0_solve(n, r_max):
+    prof0 = core.solve_profile(n) if r_max is None \
+        else core.solve_profile(n, r_max=r_max)
     r = np.geomspace(core.R_START, prof0.r_max, 4001)
     # the core's rows (f, z) are the twisted solve's at q = 0
     interp = lambda rr: np.vstack([prof0.sol(rr)[:2],
@@ -378,13 +379,20 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
     outer boundary condition is outer.far_field itself, so a Newton
     iterate outside its domain fails the solve with its reason, and the
     report's boundary residuals are the endpoint's distance from it.
+    At q = 0 the untwisted core profile is solved on [R_START, r_max]
+    (core.solve_profile's default domain when r_max is None), and an
+    ``init`` is refused.
     """
     core.check_tol(tol)
     if r_max is not None and not core.R_START < r_max < math.inf:
         raise ValueError(f"r_max must be finite and above the series cut "
                          f"core.R_START = {core.R_START:g}, got {r_max!r}")
     if q == 0.0:
-        return _q0_solve(n)
+        if init is not None:
+            raise ValueError(
+                f"an untwisted solve takes no initial (c_f, k), got {init!r}: "
+                "at q = 0, k = 0 exactly and c_f is the core profile's")
+        return _q0_solve(n, r_max)
     ka = wavenumber.kappa_asym(n, abs(q))
     if init is not None:
         c0, k0 = init

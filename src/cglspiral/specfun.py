@@ -20,12 +20,12 @@ exp(-x s) cos(nu t),
 
 so the log-slope and its derivative are scale-free, finite where K itself
 underflows float64, and free of the cancellation in K''/K - (K'/K)^2.
-Scipy's adaptive quadrature of the same integral is kept as the
-cross-validation oracle.
+Scipy's adaptive quadrature of the same integral, :func:`k_imag_quadrature`,
+is kept as the trapezoid sum's oracle for the tests and the self-check;
+no solve calls it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,31 +50,6 @@ class QuadratureError(RuntimeError):
             f"quadrature for nu={nu!r}, x={x!r} achieved only "
             f"relative error {achieved:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class ImagOrderEval:
-    """One evaluation of K_{i nu}: value, x-derivative, and provenance."""
-
-    x: float
-    nu: float
-    value: float
-    derivative: float
-    method: str
-
-    def second_derivative_ode(self):
-        """K'' composed from the defining equation (not an independent sum)."""
-        return (1.0 - self.nu * self.nu / (self.x * self.x)) * self.value \
-            - self.derivative / self.x
-
-
-@dataclass(frozen=True)
-class GammaArg:
-    """theta_{k, nu} = arg Gamma(1 + k + i nu)."""
-
-    k: int
-    nu: float
-    theta: float
 
 
 def sign_validity_floor(nu):
@@ -127,54 +102,32 @@ def _cosh_quad(x, integrand):
 
 
 def k_imag_quadrature(nu, x):
-    """K_{i nu}(x) from the integral int_0^T exp(-x cosh t) cos(nu t) dt.
+    """(K, K') of K_{i nu} at x from the integrals
+    int_0^T exp(-x cosh t) cos(nu t) dt and -int_0^T exp(-x cosh t) cosh t
+    cos(nu t) dt: the oracle for the trapezoid sum.
 
-    Raises :class:`QuadratureError` when the reported error estimate is
-    worse than 1e-9 relative.
+    Raises :class:`QuadratureError` when the error estimate of K is worse
+    than 1e-9 relative.
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x!r}")
-    val, abserr = _cosh_quad(
+    K, abserr = _cosh_quad(
         x, lambda t: math.exp(-x * math.cosh(t)) * math.cos(nu * t))
-    scale = max(abs(val), 5e-324)
+    scale = max(abs(K), 5e-324)
     if abserr / scale > 1e-9:
         raise QuadratureError(nu, x, abserr / scale)
-    return val
-
-
-def _quadrature_derivative(nu, x):
-    # companion to k_imag_quadrature for the CLI's quad method
-    return _cosh_quad(
+    K1 = _cosh_quad(
         x, lambda t: -math.exp(-x * math.cosh(t)) * math.cosh(t)
         * math.cos(nu * t))[0]
+    return K, K1
 
 
-def k_imag(nu, x, method=None):
-    """Evaluate K_{i nu}(x) and its x-derivative.
-
-    Parameters
-    ----------
-    nu, x : float
-        Order magnitude and positive argument.
-    method : str or None
-        None for the trapezoid sum (recorded as "trapezoid"), or
-        "quadrature" for the adaptive oracle.
-
-    Returns
-    -------
-    ImagOrderEval
-    """
-    if method is None:
-        S, mean, _ = _moments(nu, x)
-        K = math.exp(-x) * S
-        return ImagOrderEval(x=x, nu=nu, value=K, derivative=K * (-1.0 - mean),
-                             method="trapezoid")
-    if method == "quadrature":
-        K = k_imag_quadrature(nu, x)
-        K1 = _quadrature_derivative(nu, x)
-        return ImagOrderEval(x=x, nu=nu, value=K, derivative=K1,
-                             method="quadrature")
-    raise ValueError(f"unknown method {method!r}")
+def k_imag(nu, x):
+    """(K, K') of K_{i nu} at x from the trapezoid sum, for order magnitude
+    nu >= 0 and argument x > 0."""
+    S, mean, _ = _moments(nu, x)
+    K = math.exp(-x) * S
+    return K, K * (-1.0 - mean)
 
 
 def k_imag_triple(nu, x):
@@ -182,7 +135,7 @@ def k_imag_triple(nu, x):
 
     The second derivative comes from the variance of s, independently of
     the defining differential equation, so residual tests of that equation
-    are meaningful.  Contrast :meth:`ImagOrderEval.second_derivative_ode`.
+    are meaningful.
     """
     S, mean, var = _moments(nu, x)
     K = math.exp(-x) * S
@@ -227,5 +180,4 @@ def gamma_arg(k, nu):
         raise ValueError(f"index must be a nonnegative integer, got {k!r}")
     if nu < 0.0:
         raise ValueError(f"order magnitude must be nonnegative, got nu={nu!r}")
-    k = int(k)
-    return GammaArg(k=k, nu=nu, theta=float(loggamma(1.0 + k + 1j * nu).imag))
+    return float(loggamma(1.0 + int(k) + 1j * nu).imag)

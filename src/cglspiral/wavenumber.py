@@ -173,7 +173,7 @@ def leading_matching_residual(n, q, mu, cn=None):
         raise ValueError(f"prefactor must be positive, got mu={mu!r}")
     if cn is None:
         cn = matching_constant(n)
-    theta0 = specfun.gamma_arg(0, n * q).theta
+    theta0 = specfun.gamma_arg(0, n * q)
     return cn + n * n * math.log(0.5 * mu) - n * theta0 / q
 
 
@@ -187,4 +187,4 @@ def solve_matching_mu(n, q, cn=None):
     if cn is None:
         cn = matching_constant(n)
     nu = n * q
-    return 2.0 * math.exp(specfun.gamma_arg(0, nu).theta / nu - cn / (n * n))
+    return 2.0 * math.exp(specfun.gamma_arg(0, nu) / nu - cn / (n * n))

@@ -68,25 +68,18 @@ class TestBesselEval:
                          "--out-dir", str(tmp_path))
         assert rc == 0
         doc = json.loads(out)
-        ev = specfun.k_imag(0.1, 1.0)
-        assert doc["value"] == ev.value
-        assert doc["derivative"] == ev.derivative
-        assert doc["method"] == ev.method == "trapezoid"
-        assert doc["err_estimate"] == 1e-12
+        K, K1 = specfun.k_imag(0.1, 1.0)
+        assert doc == {"kind": "Kinu", "nu": 0.1, "x": 1.0, "value": K,
+                       "derivative": K1, "err_estimate": 1e-12}
 
-    def test_forced_method_agrees(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "bessel-eval", "--nu", "0.1", "--x", "1.0",
-                         "--method", "quad", "--out-dir", str(tmp_path))
-        doc_q = json.loads(out)
-        rc, out, _ = run(capsys, "bessel-eval", "--nu", "0.1", "--x", "1.0",
-                         "--method", "auto", "--out-dir", str(tmp_path))
-        doc_t = json.loads(out)
-        assert doc_q["method"] == "quadrature"
-        assert doc_q["value"] == pytest.approx(doc_t["value"], rel=1e-9)
-        # each method reports its own bound: the quadrature oracle raises
-        # QuadratureError only past 1e-9 relative
-        assert doc_q["err_estimate"] == 1e-9
-        assert doc_t["err_estimate"] == 1e-12
+    def test_method_option_is_gone(self, capsys, tmp_path):
+        # the quadrature oracle is not a user route
+        rc, out, err = run(capsys, "bessel-eval", "--nu", "0.1", "--x", "1.0",
+                           "--method", "quad", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "usage" in err
+        assert "unrecognized arguments: --method quad" in err
+        assert out == ""
 
     def test_tiny_argument_is_domain_error(self, capsys, tmp_path):
         rc, out, err = run(capsys, "bessel-eval", "--nu", "0.1", "--x",
@@ -394,6 +387,25 @@ class TestSolveAndSweep:
         manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
         assert manifest["config"]["k_init"] == "0.09"
 
+    def test_untwisted_solve_keeps_r_max(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "solve", "--n", "1", "--q", "0",
+                         "--r-max", "5000", "--out-dir", str(tmp_path))
+        assert rc == 0
+        assert json.loads(out)["r_max"] == 5000.0
+
+    def test_untwisted_solve_refuses_k_init(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "solve", "--n", "1", "--q", "0",
+                           "--k-init", "0.5", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "untwisted solve takes no initial" in err
+        assert out == ""
+
+    def test_small_twist_is_domain_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "solve", "--n", "1", "--q", "0.001",
+                           "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "log k = -1563.9" in err
+
     def test_sweep_csv(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "sweep", "--n", "1", "--q-list",
                          "1.0,0.8,0.6", "--out-dir", str(tmp_path),
@@ -583,6 +595,34 @@ class TestFieldCommand:
                          "--extent", "0", "--out-dir", str(tmp_path))
         assert rc == 1
         assert "--extent must be positive" in err
+
+
+    def test_untwisted_report_past_its_domain(self, capsys, tmp_path):
+        # the rebuilt q = 0 profile once kept the core's r_max = 400
+        rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        rc, _, err = run(capsys, "field", "--solve-report",
+                         str(tmp_path / "solve_report.json"),
+                         "--nx", "5", "--ny", "5", "--extent", "1000",
+                         "--out", "f.json", "--out-dir", str(tmp_path),
+                         "--quiet")
+        assert rc == 0, err
+        assert json.loads((tmp_path / "f.json").read_text())["extent"] == 1000.0
+
+    @pytest.mark.parametrize("n", [1.7, "1", True])
+    def test_non_integer_arm_count_refused(self, capsys, tmp_path, n):
+        # "n": 1.7 once solved n = 1 and exited 0
+        report = tmp_path / "solve_report.json"
+        report.write_text(json.dumps({"n": n, "q": 0.5, "k_numeric": 0.09,
+                                      "c_f": 0.58, "r_max": 20.0,
+                                      "tol": 1e-10}))
+        rc, out, err = run(capsys, "field", "--solve-report", str(report),
+                           "--extent", "10", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert f"cannot read solve report {str(report)!r}" in err
+        assert f"'n' must be an integer, got {n!r}" in err
+        assert out == ""
 
 
 class TestReadmeExamples:

@@ -138,6 +138,21 @@ class TestSampleField:
         with pytest.raises(ValueError, match="positive"):
             field.sample_field(prof, table, 1, 0.0, 0.0, (33, 33, -5.0))
 
+    def test_nan_extent_refused(self, default_solve):
+        # NaN passed both comparisons and gave an all-NaN grid
+        prof, _ = default_solve
+        table = field.theta_of_r(prof)
+        with pytest.raises(ValueError, match="positive, got nan"):
+            field.sample_field(prof, table, 1, 0.0, 0.0,
+                               (33, 33, math.nan))
+
+    def test_arm_count_must_match_profile(self, default_solve):
+        # an n-armed phase on a profile solved for another n is no solution
+        prof, _ = default_solve
+        table = field.theta_of_r(prof)
+        with pytest.raises(ValueError, match="arm count n=2 differs"):
+            field.sample_field(prof, table, 2, 0.0, 0.0, (33, 33, 10.0))
+
     def test_chirality_mirrors_phase(self, default_solve):
         prof, _ = default_solve
         table = field.theta_of_r(prof)

@@ -139,6 +139,27 @@ def test_zero_twist_is_untwisted_core():
     assert np.max(np.abs(prof.f_at(r) - prof0.f(r))) < 1e-12
 
 
+def test_zero_twist_honours_r_max():
+    # the untwisted solve once ran on the core's default r_max = 400
+    prof, rep = solver.solve_spiral(1, 0.0, r_max=5000.0)
+    assert rep.r_max == prof.r_max == 5000.0
+    assert rep.status == 0 and not rep.properties["suspect"]
+    assert rep.c_f == core.solve_profile(1, r_max=5000.0).c_f
+
+
+def test_zero_twist_refuses_init():
+    # at q = 0 there is no (c_f, k) to seed, and a seed was dropped silently
+    with pytest.raises(ValueError, match="untwisted solve takes no initial"):
+        solver.solve_spiral(1, 0.0, init=(-1.0, 5.0))
+
+
+@pytest.mark.parametrize("q", [1e-3, -1e-3])
+def test_small_twist_names_log_k(q):
+    # kappa underflows float64: the refusal names log k before any solve
+    with pytest.raises(ValueError, match=r"log k = -1563\.9, far beyond"):
+        solver.solve_spiral(1, q)
+
+
 def test_mirror_twist_symmetry(base):
     prof_p, rep_p = base
     prof_m, rep_m = solver.solve_spiral(1, -0.5)

@@ -27,8 +27,8 @@ its first integral and of v.  Then come the sha256 digests of a small CSV
 and JSON export of the field of that solve, so a change to the writers is
 diffed like a solve.  Last come the sha256 digests of the stdout and the
 output files of fixed in-process ``cli.main`` runs of ``solve``,
-``inner-solve``, ``sweep``, ``kappa``, ``physical``, ``field`` and
-``outer-eval`` in a temporary directory; manifests are not hashed.  Each
+``inner-solve``, ``sweep``, ``kappa``, ``physical``, ``field``,
+``outer-eval`` and ``bessel-eval`` in a temporary directory; manifests are not hashed.  Each
 run passes only flags its subcommand reads, after the subcommand name.
 """
 
@@ -61,6 +61,7 @@ CLI_RUNS = [
      "--ny", "7", "--extent", "20", "--t", "0.25", "--quiet"],
     ["outer-eval", "--n", "1", "--q", "0.5", "--k", "0.09",
      "--r-grid", "40:400:8", "--quiet"],
+    ["bessel-eval", "--nu", "0.1", "--x", "1.0"],
 ]
 
 
