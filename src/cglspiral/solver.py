@@ -351,6 +351,7 @@ def _check_properties(profile, report):
 
 
 def _q0_solve(n, r_max):
+    # solve_profile(n) is the cache entry every other solve warms
     prof0 = core.solve_profile(n) if r_max is None \
         else core.solve_profile(n, r_max=r_max)
     r = np.geomspace(core.R_START, prof0.r_max, 4001)
