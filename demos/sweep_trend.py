@@ -4,8 +4,8 @@ As q decreases, the numerically selected wavenumber k(q) should approach
 the asymptotic prediction kappa(q), with the relative error shrinking.
 This is the central quantitative claim of the library: the ratio
 k_numeric / kappa tends to 1, and |ratio - 1| scaled by |log q| stays
-bounded.  Solves reuse the previous (c_f, k) as a warm start down the
-sweep, which keeps the Newton counts low.
+bounded.  Each solve is seeded with the previous twist's k, carried down
+the sweep by the asymptotic law, which keeps the Newton counts low.
 """
 
 import math

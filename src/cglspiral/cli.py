@@ -242,13 +242,10 @@ def _report_doc(rep, profile, tol):
 
 
 def _cmd_solve(args):
-    n = args.n
     r_max = None if args.r_max == "auto" else float(args.r_max)
-    init = None
-    if args.k_init != "auto":
-        init = (core.solve_profile(n).c_f, float(args.k_init))
-    profile, rep = solver.solve_spiral(n, args.q, init=init, tol=args.tol,
-                                       r_max=r_max)
+    k_init = None if args.k_init == "auto" else float(args.k_init)
+    profile, rep = solver.solve_spiral(args.n, args.q, k_init=k_init,
+                                       tol=args.tol, r_max=r_max)
     doc = _report_doc(rep, profile, args.tol)
     report_path = args.out_dir / args.out
     _write_text(report_path, _json_text(doc))
@@ -310,16 +307,16 @@ def _cmd_physical(args):
 
 
 def _cmd_field(args):
-    n, q, k, c_f, rep_rmax, rep_tol = _read_solve_report(
-        args.solve_report, "n", "q", "k_numeric", "c_f", "r_max", "tol")
+    n, q, k, rep_rmax, rep_tol = _read_solve_report(
+        args.solve_report, "n", "q", "k_numeric", "r_max", "tol")
     if args.extent <= 0:
         raise CliError(f"--extent must be positive, got {args.extent!r}")
-    # rebuild the profile from the report's warm start (an untwisted one
-    # has none), enlarging the domain when the requested window extends
-    # past the reported one
+    # rebuild the profile seeded by the report's k (an untwisted one has
+    # none), enlarging the domain when the requested window extends past
+    # the reported one
     r_max = max(rep_rmax, args.extent)
     tol = rep_tol if args.tol is None else args.tol
-    profile, rep2 = solver.solve_spiral(n, q, init=(c_f, k) if q else None,
+    profile, rep2 = solver.solve_spiral(n, q, k_init=k if q else None,
                                         tol=tol, r_max=r_max)
     table = field.theta_of_r(profile)
     omega = q * (1.0 - rep2.k_numeric ** 2) if args.omega is None \

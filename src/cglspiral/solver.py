@@ -122,20 +122,21 @@ class RadialProfile:
 class WavenumberReport:
     """Outcome of one full solve, with the asymptotic comparison.
 
-    ``newton_iterations`` is solve_bvp's ``niter``, its mesh passes.
+    ``newton_iterations`` is solve_bvp's ``niter``, its mesh passes.  The
+    outcome fields default to a failed solve's: NaN, and 0 passes.
     """
 
     n: int
     q: float
-    k_numeric: float
-    k_asymptotic: float
-    ratio: float
-    boundary_residuals: tuple
-    newton_iterations: int
-    residual: float
-    r_max: float
-    mu: float
-    c_f: float
+    k_numeric: float = math.nan
+    k_asymptotic: float = math.nan
+    ratio: float = math.nan
+    boundary_residuals: tuple = (math.nan, math.nan)
+    newton_iterations: int = 0
+    residual: float = math.nan
+    r_max: float = math.nan
+    mu: float = math.nan
+    c_f: float = math.nan
     properties: dict = field(default_factory=dict)
     status: int = 0
     message: str = "converged"
@@ -184,6 +185,16 @@ def cgl_lambda_omega(q, k, Omega):
     lam = lambda z: 1.0 - z * z
     om = lambda z: Omega + q * (1.0 - k2 - z * z)
     return lam, om
+
+
+def _wavenumber(p):
+    """k = e^{log k} of p = (c_f, log k); an iterate with k outside (0, 1),
+    or underflowed to 0, is refused naming log k before exp can overflow."""
+    k = np.exp(p[1]) if p[1] < 0.0 else 0.0
+    if not k > 0.0:
+        raise ValueError(f"a Newton iterate left k in (0, 1): "
+                         f"log k = {float(p[1]):.6g}")
+    return k
 
 
 def _rhs(n, q, k, r, y):
@@ -276,14 +287,14 @@ def _boundary(n, q, r_max):
     sgn = 1.0 if q > 0 else -1.0
 
     def bc(ya, yb, p):
-        k = np.exp(p[1])
+        k = _wavenumber(p)
         _, _, f_o, v_o = outer.far_field(n, q, k, k * abs(q) * r_max)
         v_end = yb[2] / (r_max * yb[0] * yb[0] + _TINY)
         return np.append(ya - _start(n, q, p[0], k * k)[0],
                          [yb[0] - f_o, v_end - v_o])
 
     def bc_jac(ya, yb, p):
-        k = np.exp(p[1])
+        k = _wavenumber(p)
         R = k * abs(q) * r_max
         # dR/dlog k = R, and the far field's eps n/R = n/r_max is free of k
         V0, dV0, f_o, _ = outer.far_field(n, q, k, R)
@@ -299,7 +310,7 @@ def _boundary(n, q, r_max):
     return bc, bc_jac
 
 
-def _collocation_solve(n, q, k0, c0, r_max, tol):
+def _collocation_solve(n, q, k0, r_max, tol):
     sgn = 1.0 if q > 0 else -1.0
     bc, bc_jac = _boundary(n, q, r_max)
     r = np.geomspace(core.R_START, r_max, N_MESH)
@@ -310,17 +321,17 @@ def _collocation_solve(n, q, k0, c0, r_max, tol):
     y = np.vstack([f0, core.z_from_slope(n, r, f0, prof0.df(r)),
                    r * f0 * f0 * v0])
     try:
-        sol = solve_bvp(lambda r, y, p: _rhs(n, q, np.exp(p[1]), r, y), bc,
-                        r, y, p=[c0, math.log(k0)], tol=tol,
-                        fun_jac=lambda r, y, p: _rhs_jac(n, q, np.exp(p[1]),
+        sol = solve_bvp(lambda r, y, p: _rhs(n, q, _wavenumber(p), r, y), bc,
+                        r, y, p=[prof0.c_f, math.log(k0)], tol=tol,
+                        fun_jac=lambda r, y, p: _rhs_jac(n, q, _wavenumber(p),
                                                          r, y),
                         bc_jac=bc_jac, max_nodes=core.MAX_NODES, verbose=0)
     except ValueError as exc:
-        # an iterate left the far field's domain: outer.far_field refused
+        # an iterate left (0, 1) in k or the far field's domain
         reason = exc
     else:
         if sol.status == 0:
-            return sol
+            return sol, bc
         reason = sol.message
     raise RuntimeError(f"collocation failed at n={n}, q={q} "
                        f"(r_max={r_max:.4g}): {reason}")
@@ -350,58 +361,53 @@ def _check_properties(profile, report):
             name for name, ok in props.items() if name != "suspect" and not ok)
 
 
-def _q0_solve(n, r_max):
-    # solve_profile(n) is the cache entry every other solve warms
-    prof0 = core.solve_profile(n) if r_max is None \
-        else core.solve_profile(n, r_max=r_max)
+def _q0_solve(n, r_max, tol):
+    prof0 = core.solve_profile(n, r_max=400.0 if r_max is None else r_max,
+                               tol=tol)
     r = np.geomspace(core.R_START, prof0.r_max, 4001)
     # the core's rows (f, z) are the twisted solve's at q = 0
     interp = lambda rr: np.vstack([prof0.sol(rr)[:2],
                                    np.zeros_like(np.asarray(rr, float))])
     profile = _profile(n, 0.0, 0.0, prof0.c_f, r, interp(r), interp)
-    report = WavenumberReport(n=n, q=0.0, k_numeric=0.0, k_asymptotic=0.0,
-                              ratio=math.nan, boundary_residuals=(0.0, 0.0),
-                              newton_iterations=0, residual=prof0.rms_residual,
-                              r_max=prof0.r_max, mu=0.0, c_f=prof0.c_f)
+    report = WavenumberReport(
+        n=n, q=0.0, k_numeric=0.0, k_asymptotic=0.0, mu=0.0,
+        boundary_residuals=(0.0, 0.0), residual=prof0.rms_residual,
+        r_max=prof0.r_max, c_f=prof0.c_f)
     _check_properties(profile, report)
     return profile, report
 
 
-def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
+def solve_spiral(n, q, k_init=None, tol=1e-10, r_max=None):
     """Solve for the rotating profile and selected wavenumber at twist q.
 
-    ``init`` optionally supplies (c_f, k) starting values; by default the
-    untwisted core slope and the asymptotic wavenumber seed the solve.
-    Unless given, r_max = R_MATCH_TARGET / (k0 |q|) for the seed k0, so
-    R = k|q| r_max = 1.6 k/k0: at least 1.6 from a cold seed (never above
-    k), about 1.55 from a sweep's warm one; R < 0.8 marks the solve suspect.
-    A matching radius beyond the domain budget MAX_DOMAIN is refused
-    before the solve that would use it, with the radius spelled out.  The
-    outer boundary condition is outer.far_field itself, so a Newton
-    iterate outside its domain fails the solve with its reason, and the
-    report's boundary residuals are the endpoint's distance from it.
-    At q = 0 the untwisted core profile is solved on [R_START, r_max]
-    (core.solve_profile's default domain when r_max is None), and an
-    ``init`` is refused.
+    ``k_init`` optionally seeds k, in (0, 1); by default the asymptotic
+    wavenumber does.  The untwisted core seeds the rows and c_f, which
+    Newton recovers from the series rows at its first step.  Unless given,
+    r_max = R_MATCH_TARGET / (k0 |q|) for the seed k0, so R = k|q| r_max =
+    1.6 k/k0: at least 1.6 from a cold seed (never above k), about 1.55
+    from a sweep's warm one; R < 0.8 marks the solve suspect.  A matching
+    radius beyond the domain budget MAX_DOMAIN is refused before the solve
+    that would use it, with the radius spelled out.  A Newton iterate with
+    k outside (0, 1) or outside outer.far_field's domain fails the solve
+    with its reason.  The report's boundary residuals are the solve's own
+    far-field rows at the converged endpoint.  At q = 0 the untwisted core
+    profile is solved on [R_START, r_max] at ``tol`` (r_max = 400 when
+    None), and a ``k_init`` is refused.
     """
     core.check_tol(tol)
     if r_max is not None and not core.R_START < r_max < math.inf:
         raise ValueError(f"r_max must be finite and above the series cut "
                          f"core.R_START = {core.R_START:g}, got {r_max!r}")
     if q == 0.0:
-        if init is not None:
-            raise ValueError(
-                f"an untwisted solve takes no initial (c_f, k), got {init!r}: "
-                "at q = 0, k = 0 exactly and c_f is the core profile's")
-        return _q0_solve(n, r_max)
+        if k_init is not None:
+            raise ValueError(f"an untwisted solve takes no initial k, got "
+                             f"{k_init!r}: at q = 0, k = 0 exactly")
+        return _q0_solve(n, r_max, tol)
+    if k_init is not None and not 0.0 < k_init < 1.0:
+        raise ValueError(f"initial k={k_init!r} is outside (0, 1)")
     ka = wavenumber.kappa_asym(n, abs(q))
-    if init is not None:
-        c0, k0 = init
-        if not (0.0 < k0 < 1.0 and 0.0 < c0 < math.inf):
-            raise ValueError(f"initial (c_f, k)=({c0!r}, {k0!r}) out of range")
-    else:
-        c0 = core.solve_profile(n).c_f
-        k0 = min(ka.value, 0.3) if not ka.underflowed else 0.0
+    # an underflowed kappa is 0.0
+    k0 = min(ka.value, 0.3) if k_init is None else k_init
     if k0 == 0.0:
         raise ValueError(
             f"twist q={q} is below the tractable window: the selected "
@@ -413,27 +419,25 @@ def solve_spiral(n, q, init=None, tol=1e-10, r_max=None):
             f"twist q={q} needs a matching radius ~{r_match:.3g} "
             f"(log k = {math.log(k0):.2f}), beyond the domain budget "
             f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
-    sol = _collocation_solve(n, q, k0, c0, r_match, tol)
+    sol, bc = _collocation_solve(n, q, k0, r_match, tol)
     k = float(np.exp(sol.p[1]))
     profile = _profile(n, q, k, float(sol.p[0]), sol.x, sol.y, sol.sol)
-    params = SpiralParams(n=n, q=q, k=k)
-    _, _, f_o, v_o = outer.far_field(n, q, k, params.eps * profile.r_max)
-    ratio = k / ka.value if ka.value > 0 else math.inf
+    res_f, res_v = bc(sol.y[:, 0], sol.y[:, -1], sol.p)[3:]
     report = WavenumberReport(
-        n=n, q=q, k_numeric=k, k_asymptotic=ka.value, ratio=ratio,
-        boundary_residuals=(float(profile.f[-1] - f_o),
-                            float(profile.v[-1] - v_o)),
+        n=n, q=q, k_numeric=k, k_asymptotic=ka.value,
+        ratio=k / ka.value if ka.value > 0 else math.inf,
+        boundary_residuals=(float(res_f), float(res_v)),
         newton_iterations=int(sol.niter),
         residual=float(np.max(sol.rms_residuals)), r_max=profile.r_max,
-        mu=params.mu, c_f=profile.c_f)
+        mu=SpiralParams(n=n, q=q, k=k).mu, c_f=profile.c_f)
     _check_properties(profile, report)
     return profile, report
 
 
 def wavenumber_sweep(n, q_list, tol=1e-10):
-    """Descending-twist sweep with asymptotically warm-started seeds.
+    """Descending-twist sweep with asymptotically warm-started k seeds.
 
-    Each solve seeds the next through the asymptotic transfer
+    Each solve seeds the next one's k_init through the asymptotic transfer
     log k(q_next) ~ log k(q_prev) + [log kappa(q_next) - log kappa(q_prev)],
     except at q = 0, the twist after it and a twist whose sign differs from
     the last solved one, which start cold, so that a sweep meets the exact
@@ -446,23 +450,18 @@ def wavenumber_sweep(n, q_list, tol=1e-10):
     if any(b >= a for a, b in zip(qs, qs[1:])):
         raise ValueError(f"sweep twists must be strictly descending, got {qs}")
     reports = []
-    k_prev = c_prev = q_prev = None
+    k_prev = q_prev = None
     for q in qs:
         try:
-            if not k_prev or q * q_prev <= 0.0:
-                init = None
-            else:
-                lk = math.log(k_prev) \
-                    + wavenumber.kappa_asym(n, abs(q)).log_value \
-                    - wavenumber.kappa_asym(n, abs(q_prev)).log_value
-                init = (c_prev, math.exp(lk))
-            profile, report = solve_spiral(n, q, init=init, tol=tol)
-            k_prev, c_prev, q_prev = report.k_numeric, report.c_f, q
+            k_init = None
+            if k_prev and q * q_prev > 0.0:
+                k_init = math.exp(
+                    math.log(k_prev)
+                    + wavenumber.kappa_asym(n, abs(q)).log_value
+                    - wavenumber.kappa_asym(n, abs(q_prev)).log_value)
+            _, report = solve_spiral(n, q, k_init=k_init, tol=tol)
+            k_prev, q_prev = report.k_numeric, q
         except (ValueError, RuntimeError) as exc:
-            report = WavenumberReport(
-                n=n, q=q, k_numeric=math.nan, k_asymptotic=math.nan,
-                ratio=math.nan, boundary_residuals=(math.nan, math.nan),
-                newton_iterations=0, residual=math.nan, r_max=math.nan,
-                mu=math.nan, c_f=math.nan, status=2, message=str(exc))
+            report = WavenumberReport(n=n, q=q, status=2, message=str(exc))
         reports.append(report)
     return reports

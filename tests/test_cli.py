@@ -610,6 +610,16 @@ class TestFieldCommand:
         assert rc == 0, err
         assert json.loads((tmp_path / "f.json").read_text())["extent"] == 1000.0
 
+    def test_report_without_c_f(self, capsys, tmp_path):
+        # a twisted re-solve is seeded by the report's k alone
+        report = tmp_path / "solve_report.json"
+        report.write_text(json.dumps({"n": 1, "q": 0.5, "k_numeric": 0.09,
+                                      "r_max": 20.0, "tol": 1e-10}))
+        rc, _, err = run(capsys, "field", "--solve-report", str(report),
+                         "--nx", "5", "--ny", "5", "--extent", "10",
+                         "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0, err
+
     @pytest.mark.parametrize("n", [1.7, "1", True])
     def test_non_integer_arm_count_refused(self, capsys, tmp_path, n):
         # "n": 1.7 once solved n = 1 and exited 0

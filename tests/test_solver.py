@@ -108,7 +108,7 @@ def test_cold_k_agrees_with_long_matching_radius(n, q):
     _, cold = solver.solve_spiral(n, q)
     ref = cold
     for R in (6.4, 12.8):
-        _, ref = solver.solve_spiral(n, q, init=(ref.c_f, ref.k_numeric),
+        _, ref = solver.solve_spiral(n, q, k_init=ref.k_numeric,
                                      r_max=R / (ref.k_numeric * abs(q)))
         assert ref.status == 0 and not ref.properties["suspect"]
     assert cold.k_numeric == pytest.approx(ref.k_numeric, rel=5e-4)
@@ -118,8 +118,7 @@ def test_oversized_seed_marks_solve_suspect():
     # a seed k five times the selected one puts r_max = 1.6 / (k0 |q|) at
     # 6.4: the solve converges at R = k|q| r_max = 0.30, below
     # R_MATCH_TARGET / 2, and is reported, not re-solved
-    c_f = core.solve_profile(1).c_f
-    _, rep = solver.solve_spiral(1, 0.5, init=(c_f, 0.5))
+    _, rep = solver.solve_spiral(1, 0.5, k_init=0.5)
     assert rep.status == 0
     assert rep.k_numeric * 0.5 * rep.r_max < solver.R_MATCH_TARGET / 2
     assert rep.properties["matching_radius"] is False
@@ -144,13 +143,20 @@ def test_zero_twist_honours_r_max():
     prof, rep = solver.solve_spiral(1, 0.0, r_max=5000.0)
     assert rep.r_max == prof.r_max == 5000.0
     assert rep.status == 0 and not rep.properties["suspect"]
-    assert rep.c_f == core.solve_profile(1, r_max=5000.0).c_f
+    assert rep.c_f == core.solve_profile(1, r_max=5000.0, tol=1e-10).c_f
+
+
+def test_zero_twist_honours_tol():
+    # the untwisted solve once ran at the core's default tol = 1e-11
+    _, rep = solver.solve_spiral(1, 0.0, tol=1e-12)
+    assert rep.c_f == core.solve_profile(1, tol=1e-12).c_f
+    assert rep.c_f != core.solve_profile(1).c_f
 
 
 def test_zero_twist_refuses_init():
-    # at q = 0 there is no (c_f, k) to seed, and a seed was dropped silently
-    with pytest.raises(ValueError, match="untwisted solve takes no initial"):
-        solver.solve_spiral(1, 0.0, init=(-1.0, 5.0))
+    # at q = 0 there is no k to seed, and a seed was dropped silently
+    with pytest.raises(ValueError, match="untwisted solve takes no initial k"):
+        solver.solve_spiral(1, 0.0, k_init=0.5)
 
 
 @pytest.mark.parametrize("q", [1e-3, -1e-3])
@@ -228,9 +234,15 @@ def test_sweep_requires_descending():
 def test_sweep_isolates_failures():
     reports = solver.wavenumber_sweep(1, [0.5, 1e-8])
     assert reports[0].status == 0
-    assert reports[1].status == 2
-    assert math.isnan(reports[1].k_numeric)
-    assert reports[1].message
+    failed = reports[1]
+    assert failed.status == 2
+    assert failed.message
+    # every outcome field of the failed row keeps its default
+    for name in ("k_numeric", "k_asymptotic", "ratio", "residual", "r_max",
+                 "mu", "c_f"):
+        assert math.isnan(getattr(failed, name)), name
+    assert all(math.isnan(x) for x in failed.boundary_residuals)
+    assert failed.newton_iterations == 0
 
 
 def test_sweep_through_zero_twist_restarts_cold():
@@ -271,13 +283,18 @@ def test_refuses_nonfinite_twist(q):
 
 
 def test_init_validation():
-    with pytest.raises(ValueError):
-        solver.solve_spiral(1, 0.5, init=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        solver.solve_spiral(1, 0.5, init=(-0.1, 0.1))
-    for c_f in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="out of range"):
-            solver.solve_spiral(1, 0.5, init=(c_f, 0.1))
+    for k_init in (1.5, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=r"initial k=.* is outside \(0, 1\)"):
+            solver.solve_spiral(1, 0.5, k_init=k_init)
+
+
+def test_newton_iterate_outside_unit_k_fails_cleanly():
+    # from its own converged k at r_max = 200 (R = 25.7), an n = 2 iterate
+    # once ran log k to overflow inside np.exp; it is refused naming log k
+    _, rep = solver.solve_spiral(2, 0.5)
+    with pytest.raises(RuntimeError, match=r"left k in \(0, 1\): log k = "):
+        solver.solve_spiral(2, 0.5, k_init=rep.k_numeric, r_max=200.0)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.0])

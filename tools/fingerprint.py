@@ -19,9 +19,12 @@ The cases are cold n = 1 solves across both signs of q and past q = 1,
 two explicit matching radii far past the automatic one, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
 n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, n = 1
-and 2 at 1e-12, and the benchmark's unjittered 15-twist n = 1 sweep.  The
-other producers of the radial-profile record follow: the untwisted q = 0
-solves, with the last value of their first integral, and one march from
+and 2 at 1e-12, the refusal of n = 2, q = 0.5 at r_max = 200 (a Newton
+iterate's k leaves (0, 1)), and the benchmark's unjittered 15-twist
+n = 1 sweep.  The other producers of the radial-profile record follow:
+the untwisted q = 0 solves, with the last value of their first integral
+and, at tol = 1e-12, their c_f (so a q = 0 solve that ignores its tol
+shows), and one march from
 the origin at the converged n = 1, q = 0.5 solve, with the last values of
 its first integral and of v.  Then come the sha256 digests of a small CSV
 and JSON export of the field of that solve, so a change to the writers is
@@ -48,6 +51,7 @@ SOLVES = [
     (3, 0.5, {"r_max": None}), (3, -0.5, {"r_max": None}),
     (1, 0.5, {"tol": 1e-11}),
     *((n, 0.5, {"tol": 1e-12}) for n in (1, 2)),
+    (2, 0.5, {"r_max": 200.0}),
 ]
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
 # run in order: physical and field read the report that solve writes
@@ -117,6 +121,8 @@ def main():
         profile, _ = solver.solve_spiral(n, 0.0)
         print(f"solve_spiral({n}, 0.0): "
               f"integral[-1]={float(profile.integral[-1]).hex()}")
+        _, report = solver.solve_spiral(n, 0.0, tol=1e-12)
+        print(f"solve_spiral({n}, 0.0, tol=1e-12): c_f={report.c_f.hex()}")
     profile, report = solver.solve_spiral(1, 0.5)
     march = solver.integrate_from_origin(
         solver.SpiralParams(1, 0.5, report.k_numeric), profile.c_f, 5.0)
