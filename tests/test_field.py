@@ -7,9 +7,24 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from cglspiral import field, solver
+
+
+# Values at the edges of the CSV writer's numpy path (1e-4 <= |x| < 1e16)
+# and of its digit rounding: every power of ten from 1e-6 to 1e18 with both
+# neighbours, exact half-way ties that round to even, integers, and the
+# values only the fallback formats.  tools/fingerprint.py hashes the same.
+POWERS = np.array([float(f"1e{j}") for j in range(-6, 19)])
+EDGE_VALUES = np.concatenate([
+    POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, np.inf),
+    [1000000000000000.25, 1000000000000000.75, 123456789012345.125],
+    [1.0, 7.0, 42.0, 1234567.0, 9999999999999998.0, 2.0 ** 53],
+])
+EDGE_VALUES = np.concatenate([EDGE_VALUES, -EDGE_VALUES, [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]])
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +263,23 @@ class TestExport:
         assert ",-4.9406564584124654e-324,2.5\n" in text
         assert ",1.0000000000000001e+300,-0,1.0000000000000001e+300\n" in text
 
+        # the edge values on a grid whose row count is not a multiple of
+        # the export's block of grid rows
+        nx = EDGE_VALUES.size
+        ny = field._BLOCK_ROWS // nx + 3
+        values = np.empty((ny, nx), dtype=complex)
+        values.real = EDGE_VALUES
+        values.imag = np.roll(EDGE_VALUES, 1)
+        grid = field.FieldGrid(nx=nx, ny=ny, extent=1.0, t=0.0, chirality=1,
+                               n=1, q=0.5, k=0.1, omega=0.0, x=EDGE_VALUES,
+                               y=np.resize(EDGE_VALUES[::-1], ny),
+                               values=values)
+        self.assert_export_matches_savetxt(grid, tmp_path)
+        text = (tmp_path / "f.csv").read_text()
+        assert ",1000000000000000.2," in text
+        assert ",1000000000000000.8," in text
+        assert ",123456789012345.12," in text
+
     def test_json_bytes_match_json_dump(self, small_grid, tmp_path):
         path = tmp_path / "f.json"
         field.export(small_grid, path, "json")
@@ -266,6 +298,37 @@ class TestExport:
         field.write_csv(tmp_path / "t.csv", "q,k,iters,res", columns)
         assert (tmp_path / "t.csv").read_bytes() == want
         assert b"nan,7," in want and b"-inf,0," in want
+
+    @pytest.mark.parametrize("rows", [0, EDGE_VALUES.size,
+                                      field._BLOCK_ROWS + 5])
+    def test_write_csv_edge_table_matches_savetxt(self, rows, tmp_path):
+        # rows past one block cover the blocked write; 0 rows is the header
+        columns = [np.resize(EDGE_VALUES, rows),
+                   np.resize(EDGE_VALUES[::-1], rows)]
+        want = self.savetxt_bytes(tmp_path / "oracle.csv", "a,b", columns)
+        field.write_csv(tmp_path / "t.csv", "a,b", columns)
+        assert (tmp_path / "t.csv").read_bytes() == want
+        if rows == 0:
+            assert want == b"a,b\n"
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=4, max_size=40))
+    def test_any_floats_match_savetxt(self, tmp_path_factory, floats):
+        tmp_path = tmp_path_factory.mktemp("floats")
+        v = np.array(floats)
+        m = v.size // 2
+        columns = [v[:m], v[m:2 * m]]
+        want = self.savetxt_bytes(tmp_path / "oracle.csv", "a,b", columns)
+        field.write_csv(tmp_path / "t.csv", "a,b", columns)
+        assert (tmp_path / "t.csv").read_bytes() == want
+        values = np.empty((2, m), dtype=complex)
+        values.real = columns
+        values.imag = columns[::-1]
+        grid = field.FieldGrid(nx=m, ny=2, extent=1.0, t=0.0, chirality=1,
+                               n=1, q=0.5, k=0.1, omega=0.0, x=v[:m],
+                               y=v[-2:], values=values)
+        self.assert_export_matches_savetxt(grid, tmp_path)
 
     def test_deterministic_bytes(self, small_grid, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

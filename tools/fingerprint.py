@@ -27,8 +27,11 @@ and, at tol = 1e-12, their c_f (so a q = 0 solve that ignores its tol
 shows), and one march from
 the origin at the converged n = 1, q = 0.5 solve, with the last values of
 its first integral and of v.  Then come the sha256 digests of a small CSV
-and JSON export of the field of that solve, so a change to the writers is
-diffed like a solve.  Last come the sha256 digests of the stdout and the
+and JSON export of the field of that solve, and of a ``write_csv`` table
+of edge values for the CSV float formatter (every power of ten from 1e-6
+to 1e18 with both neighbours, half-way ties and integers, with their
+negatives, zeros, nan, infinities and subnormals), so a change to the
+writers is diffed like a solve.  Last come the sha256 digests of the stdout and the
 output files of fixed in-process ``cli.main`` runs of ``solve``,
 ``inner-solve``, ``sweep``, ``kappa``, ``physical``, ``field``,
 ``outer-eval`` and ``bessel-eval`` in a temporary directory; manifests are not hashed.  Each
@@ -40,6 +43,8 @@ import hashlib
 import io
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from cglspiral import cli, core, field, solver
 
@@ -54,6 +59,14 @@ SOLVES = [
     (2, 0.5, {"r_max": 200.0}),
 ]
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
+POWERS = np.array([float(f"1e{j}") for j in range(-6, 19)])
+CSV_EDGES = np.concatenate([
+    POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, np.inf),
+    [1000000000000000.25, 1000000000000000.75, 123456789012345.125],
+    [1.0, 7.0, 42.0, 1234567.0, 9999999999999998.0, 2.0 ** 53],
+])
+CSV_EDGES = np.concatenate([CSV_EDGES, -CSV_EDGES, [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]])
 # run in order: physical and field read the report that solve writes
 CLI_RUNS = [
     ["solve", "--n", "1", "--q", "0.5"],
@@ -139,6 +152,10 @@ def main():
             field.export(grid, path, fmt)
             digest = _sha256(path.read_bytes())
             print(f"export(1, 0.5, 33x25, {fmt}): sha256={digest}")
+        path = Path(tmp) / "edges.csv"
+        field.write_csv(path, "x,reversed", [CSV_EDGES, CSV_EDGES[::-1]])
+        print(f"write_csv({CSV_EDGES.size} edge values): "
+              f"sha256={_sha256(path.read_bytes())}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CLI_RUNS:
