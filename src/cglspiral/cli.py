@@ -10,9 +10,9 @@ and they follow the subcommand name; an option a subcommand does not read
 is refused with usage.  Every run writes a ``<command>_manifest.json`` into
 the output directory holding every parsed option plus the values the
 handler resolved from them, so any emitted file can be reproduced from its
-manifest alone.  Outputs carry no timestamps and use 17-significant-digit
-decimal formatting throughout: identical configuration gives
-byte-identical files.
+manifest alone.  Outputs carry no timestamps; CSV floats are written with
+17 significant digits, and JSON reports and frames with the shortest
+repr that round-trips: identical configuration gives byte-identical files.
 
 Exit codes: 0 success, 1 domain or configuration error, 2 numerical
 non-convergence.

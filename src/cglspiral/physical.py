@@ -15,9 +15,10 @@ The bridge is
 together with the wave-train dispersion relation
 Omega = -beta + k_star^2 (beta - alpha), amplitude C = sqrt(1-k_star^2).
 Admissibility needs 1 + alpha beta > 0 (equivalently 1 - alpha q > 0)
-and 1 - alpha Omega_hat > 0; then 1 - Omega alpha > 0 follows
-automatically, as does the dispersion relation (the residual is an
-algebraic identity, checked here only against float rounding).
+and 0 <= k < 1; then 1 - alpha Omega_hat > 0 and 1 - Omega alpha > 0
+follow, as does the dispersion relation (an algebraic identity, checked
+here only against float rounding), but at extreme |q| 1 - Omega alpha
+can round to zero or below, which is refused.
 """
 
 import math
@@ -79,12 +80,12 @@ def physical_from_reduced(alpha, q, k):
     beta = beta_from_alpha_q(alpha, q)
     omega_hat = q * (1.0 - k * k)
     den = 1.0 - alpha * omega_hat
-    if den <= 0.0:
-        raise ValueError(
-            f"inadmissible: 1 - alpha*q*(1-k^2) = {den:.4g} must be positive")
     Omega = -(alpha + omega_hat) / den
     k_star = k / math.sqrt(den)
     one_minus = 1.0 - Omega * alpha
+    if one_minus <= 0.0:
+        raise ValueError(f"1 - Omega*alpha rounds to {one_minus:.4g} at "
+                         f"alpha={alpha!r}, q={q!r}; it must be positive")
     a = math.sqrt((1.0 + alpha * alpha) / one_minus)
     delta = math.sqrt((1.0 + alpha * beta) / one_minus)
     return PhysicalTriple(alpha=alpha, beta=beta, Omega=Omega, k_star=k_star,

@@ -21,10 +21,10 @@ difference estimates.  Plain origin shooting is kept as a diagnostic
 (:func:`integrate_from_origin`) but cannot reach the far boundary at
 tolerance: the growing mode amplifies initial rounding by e^{sqrt(2) r}.
 
-Negative twist is solved natively: every Newton step at -q is the step
-at +q with w negated, so the mesh and k agree bit for bit and v flips
-sign exactly.  Zero twist returns the untwisted core profile with k = 0
-exactly.
+The Newton system sees only q > 0: a negative twist is the solve at |q|
+mirrored, its w row (and so v), interpolant and v residual negated, so
+the mesh and k agree bit for bit by construction.  Zero twist returns
+the untwisted core profile with k = 0 exactly.
 """
 
 import math
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_bvp, solve_ivp
+from scipy.interpolate import PPoly
 
 from . import core, outer, wavenumber
 from .outer import SpiralParams
@@ -282,20 +283,18 @@ def _boundary(n, q, r_max):
     """Boundary residuals of the twisted solve and their exact Jacobians.
 
     The rows are the series start (f, z, w) at core.R_START and the far
-    field at r_max (f and v); the parameters are p = (c_f, log k).
+    field at r_max (f and v); the parameters are p = (c_f, log k); q > 0.
     """
-    sgn = 1.0 if q > 0 else -1.0
-
     def bc(ya, yb, p):
         k = _wavenumber(p)
-        _, _, f_o, v_o = outer.far_field(n, q, k, k * abs(q) * r_max)
+        _, _, f_o, v_o = outer.far_field(n, q, k, k * q * r_max)
         v_end = yb[2] / (r_max * yb[0] * yb[0] + _TINY)
         return np.append(ya - _start(n, q, p[0], k * k)[0],
                          [yb[0] - f_o, v_end - v_o])
 
     def bc_jac(ya, yb, p):
         k = _wavenumber(p)
-        R = k * abs(q) * r_max
+        R = k * q * r_max
         # dR/dlog k = R, and the far field's eps n/R = n/r_max is free of k
         V0, dV0, f_o, _ = outer.far_field(n, q, k, R)
         dV = k * (V0 + R * dV0)
@@ -304,37 +303,28 @@ def _boundary(n, q, r_max):
         dbc_dyb[3, 0] = 1.0
         dbc_dyb[4] = [-2.0 * r_max * yb[0] * yb[2] / (d * d), 0.0, 1.0 / d]
         dbc_dp = np.vstack([-_start(n, q, p[0], k * k)[1],
-                            [[0.0, k * V0 * dV / f_o], [0.0, -sgn * dV]]])
+                            [[0.0, k * V0 * dV / f_o], [0.0, -dV]]])
         return np.eye(5, 3), dbc_dyb, dbc_dp
 
     return bc, bc_jac
 
 
 def _collocation_solve(n, q, k0, r_max, tol):
-    sgn = 1.0 if q > 0 else -1.0
+    """solve_bvp's result and bc at q > 0, from the core rows and seed k0."""
     bc, bc_jac = _boundary(n, q, r_max)
     r = np.geomspace(core.R_START, r_max, N_MESH)
     prof0 = core.solve_profile(n)
     f0 = prof0.f(r)
-    rb = k0 * (2 * n + 2) / (abs(q) * (1.0 - k0 * k0))
-    v0 = -sgn * k0 * r / np.sqrt(r * r + rb * rb)
+    rb = k0 * (2 * n + 2) / (q * (1.0 - k0 * k0))
+    v0 = -k0 * r / np.sqrt(r * r + rb * rb)
     y = np.vstack([f0, core.z_from_slope(n, r, f0, prof0.df(r)),
                    r * f0 * f0 * v0])
-    try:
-        sol = solve_bvp(lambda r, y, p: _rhs(n, q, _wavenumber(p), r, y), bc,
-                        r, y, p=[prof0.c_f, math.log(k0)], tol=tol,
-                        fun_jac=lambda r, y, p: _rhs_jac(n, q, _wavenumber(p),
-                                                         r, y),
-                        bc_jac=bc_jac, max_nodes=core.MAX_NODES, verbose=0)
-    except ValueError as exc:
-        # an iterate left (0, 1) in k or the far field's domain
-        reason = exc
-    else:
-        if sol.status == 0:
-            return sol, bc
-        reason = sol.message
-    raise RuntimeError(f"collocation failed at n={n}, q={q} "
-                       f"(r_max={r_max:.4g}): {reason}")
+    sol = solve_bvp(lambda r, y, p: _rhs(n, q, _wavenumber(p), r, y), bc,
+                    r, y, p=[prof0.c_f, math.log(k0)], tol=tol,
+                    fun_jac=lambda r, y, p: _rhs_jac(n, q, _wavenumber(p),
+                                                     r, y),
+                    bc_jac=bc_jac, max_nodes=core.MAX_NODES, verbose=0)
+    return sol, bc
 
 
 def _check_properties(profile, report):
@@ -419,10 +409,21 @@ def solve_spiral(n, q, k_init=None, tol=1e-10, r_max=None):
             f"twist q={q} needs a matching radius ~{r_match:.3g} "
             f"(log k = {math.log(k0):.2f}), beyond the domain budget "
             f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
-    sol, bc = _collocation_solve(n, q, k0, r_match, tol)
+    try:
+        sol, bc = _collocation_solve(n, abs(q), k0, r_match, tol)
+        if sol.status:
+            raise ValueError(sol.message)
+    except ValueError as exc:
+        # an iterate left k's or the far field's domain, or solve_bvp stalled
+        raise RuntimeError(f"collocation failed at n={n}, q={q} "
+                           f"(r_max={r_match:.4g}): {exc}") from None
     k = float(np.exp(sol.p[1]))
-    profile = _profile(n, q, k, float(sol.p[0]), sol.x, sol.y, sol.sol)
-    res_f, res_v = bc(sol.y[:, 0], sol.y[:, -1], sol.p)[3:]
+    # the solve at -q is the one at |q| with w, and so v, negated; + 0.0
+    # keeps a zero v residual +0.0, as v_end - v_o gives it at either sign
+    s = np.array([1.0, 1.0, math.copysign(1.0, q)])
+    profile = _profile(n, q, k, float(sol.p[0]), sol.x, sol.y * s[:, None],
+                       PPoly.construct_fast(sol.sol.c * s, sol.sol.x, axis=1))
+    res_f, res_v = bc(sol.y[:, 0], sol.y[:, -1], sol.p)[3:] * s[1:] + 0.0
     report = WavenumberReport(
         n=n, q=q, k_numeric=k, k_asymptotic=ka.value,
         ratio=k / ka.value if ka.value > 0 else math.inf,

@@ -213,6 +213,14 @@ class TestOuterEval:
         assert rc == 1
         assert "grid spec" in err
 
+    def test_unparsable_grid_count(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
+                           "--k", "0.09", "--r-grid", "1:2:x",
+                           "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "bad grid spec '1:2:x'" in err
+        assert not (tmp_path / "outer_eval.csv").exists()
+
     @pytest.mark.parametrize("spec", ["2:1:5", "1:2:1"])
     def test_degenerate_grid_spec(self, capsys, tmp_path, spec):
         rc, out, err = run(capsys, "outer-eval", "--n", "1", "--q", "0.5",
@@ -310,6 +318,18 @@ class TestKappa:
                            "--cn", "frog", "--out-dir", str(tmp_path))
         assert rc == 1
 
+    def test_degenerate_matching_window_reports_nulls(self, capsys,
+                                                      tmp_path):
+        # at q >= 1 the matching window degenerates: the formula value is
+        # still reported, the window's geometry as nulls
+        rc, out, _ = run(capsys, "kappa", "--n", "1", "--q", "1.0",
+                         "--out-dir", str(tmp_path))
+        assert rc == 0
+        doc = strict_json(out)
+        assert doc["kappa"] == wavenumber.kappa_asym(1, 1.0).value
+        for key in ("rho", "log_r0", "alpha", "alpha_design"):
+            assert key in doc and doc[key] is None, key
+
 
 class TestSolveAndSweep:
     def test_solve_outputs(self, capsys, tmp_path):
@@ -406,6 +426,19 @@ class TestSolveAndSweep:
         assert rc == 1
         assert "log k = -1563.9" in err
 
+    @pytest.mark.parametrize("q", ["0.5", "-0.5"])
+    def test_failed_collocation_exits_two(self, capsys, tmp_path, q):
+        # a Newton iterate's k leaves (0, 1) at this radius; the error names
+        # the twist with its sign and the runaway log k
+        rc, out, err = run(capsys, "solve", "--n", "2", f"--q={q}",
+                           "--r-max", "200", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("cglspiral: did not converge: collocation "
+                              f"failed at n=2, q={q} (r_max=200): ")
+        assert "left k in (0, 1): log k = " in err
+        assert out == ""
+        assert not (tmp_path / "solve_report.json").exists()
+
     def test_sweep_csv(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "sweep", "--n", "1", "--q-list",
                          "1.0,0.8,0.6", "--out-dir", str(tmp_path),
@@ -460,6 +493,17 @@ class TestPhysicalCommand:
         for key in ("alpha", "beta", "Omega", "k_star", "a", "delta"):
             assert key in doc
         assert abs(doc["dispersion_residual"]) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_rescale_past_float_range_is_domain_error(self, capsys,
+                                                      tmp_path):
+        # 1 - Omega*alpha rounds to 0 here; the map once died dividing by it
+        rc, out, err = run(capsys, "physical", "--alpha", "42.93462744784837",
+                           "--q=-3.93e63", "--k", "0.9999999999999999",
+                           "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert err.startswith("cglspiral: 1 - Omega*alpha rounds to 0 at ")
+        assert out == ""
 
     def test_from_solve(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
@@ -559,6 +603,30 @@ class TestFieldCommand:
         assert config == {"solve_report": str(report), "nx": 9, "ny": 7,
                           "extent": 20.0, "t": 0.25, "chirality": -1,
                           "out": "f.json", "tol": 1e-10}
+
+    def test_omega_flag_sets_the_frequency(self, capsys, tmp_path):
+        # the frame's phase carries omega t, so omega = 0.25 at t = 2 and
+        # omega = 0.5 at t = 1 write the same bytes, and the default
+        # omega = q (1 - k^2) at t = 1 does not
+        rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",
+                       "--out-dir", str(tmp_path), "--quiet")
+        assert rc == 0
+        frames = {}
+        for name, flags in (("a", ["--omega", "0.25", "--t", "2"]),
+                            ("b", ["--omega", "0.5", "--t", "1"]),
+                            ("c", ["--t", "1"])):
+            rc, _, err = run(capsys, "field", "--solve-report",
+                             str(tmp_path / "solve_report.json"),
+                             "--nx", "7", "--ny", "7", "--extent", "10",
+                             *flags, "--out", f"{name}.csv",
+                             "--out-dir", str(tmp_path), "--quiet")
+            assert rc == 0, err
+            frames[name] = (tmp_path / f"{name}.csv").read_bytes()
+            manifest = json.loads(
+                (tmp_path / "field_manifest.json").read_text())
+            if name == "a":
+                assert manifest["config"]["omega"] == 0.25
+        assert frames["a"] == frames["b"] != frames["c"]
 
     def test_json_output_format(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",

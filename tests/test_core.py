@@ -142,6 +142,12 @@ def test_phase_gradient_two_routes_multiarm():
     assert np.max(np.abs(va / vb - 1.0)) < 1e-8
 
 
+def test_phase_gradient_ode_refuses_grid_below_cut():
+    p = core.solve_profile(1)
+    with pytest.raises(ValueError, match="must start at or above the cut"):
+        core.v_inner_by_ode(p, 0.5, 0.06, [0.5 * p.r_start, 1.0])
+
+
 def test_phase_gradient_negative_and_zero_at_origin():
     # at zero spatial wavenumber the induced gradient is negative
     # everywhere (the k^2 counter-term flips it only beyond r ~ n/k)

@@ -99,6 +99,15 @@ def test_tiny_radius_names_float64_limit():
     assert V == pytest.approx(outer.slope_cotangent(nu, 1e-150), rel=1e-15)
 
 
+@pytest.mark.parametrize("slope", [outer.decay_slope, outer.slope_cotangent],
+                         ids=["decay_slope", "slope_cotangent"])
+@pytest.mark.parametrize("R", [0.0, -1.0])
+def test_nonpositive_radius_refused(slope, R):
+    with pytest.raises(ValueError,
+                       match="stretched radius must be positive, got R="):
+        slope(0.5, R)
+
+
 def test_zero_order_limit_matches_integer_ratio():
     for R in (0.5, 3.0, 9.0, 20.0):
         V, _ = outer.decay_slope(0.0, R)

@@ -90,11 +90,24 @@ class TestForwardMap:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="lie in"):
             physical.physical_from_reduced(0.1, 0.2, 1.0)
-        # the twist-map admissibility check fires before the frequency one:
-        # with 1 - alpha*q > 0 the second denominator 1 - alpha*q*(1-k^2)
-        # is automatically positive as well
+        # with 1 - alpha*q > 0 and k in [0, 1) the frequency denominator
+        # 1 - alpha*q*(1-k^2) is positive as well; only the twist map refuses
         with pytest.raises(ValueError, match="inadmissible"):
             physical.physical_from_reduced(1.9, 0.6, 0.1)
+
+    @pytest.mark.parametrize("alpha,q,k,rounded", [
+        (42.93462744784837, -3.93e63, 0.9999999999999999, "0"),
+        (46.52314208373754, -3.5278201020516075e+144, 0.21368721943054814,
+         "-2.22e-16"),
+    ])
+    def test_rescale_denominator_rounding_refused(self, alpha, q, k,
+                                                  rounded):
+        # 1 - Omega*alpha = (1 + alpha^2)/(1 - alpha*Omega_hat) > 0 exactly,
+        # but at extreme |q| it rounds to zero (a division by zero) or below
+        # (a square root of a negative number)
+        with pytest.raises(ValueError,
+                           match=rf"1 - Omega\*alpha rounds to {rounded} at "):
+            physical.physical_from_reduced(alpha, q, k)
 
 
 class TestConsistencyIdentities:
@@ -166,6 +179,22 @@ def test_roundtrip_property(alpha, q, k):
     q2, k2, _ = physical.reduced_from_physical(alpha, t.beta, t.k_star)
     assert abs(q2 - q) <= 1e-11
     assert abs(k2 - k) <= 1e-11
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(alpha=st.floats(-10.0, 10.0), q=st.floats(-10.0, 10.0),
+       k=st.floats(0.0, 1.0, exclude_max=True))
+def test_admissible_moderate_parameters_always_map(alpha, q, k):
+    # admissibility is 1 - alpha*q > 0 and 0 <= k < 1; the frequency and
+    # rescale denominators then hold, with no refusal at these magnitudes
+    assume(1.0 - alpha * q >= 1e-6)
+    t = physical.physical_from_reduced(alpha, q, k)
+    den = 1.0 - alpha * t.Omega_hat
+    assert den > 0.0 and 1.0 - t.Omega * alpha > 0.0
+    assert math.isfinite(t.k_star) and t.k_star >= 0.0
+    assert t.a == pytest.approx(math.sqrt(den), rel=1e-10)
+    assert t.delta == pytest.approx(math.sqrt(den / (1.0 - alpha * q)),
+                                    rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.0, 0.0), (-1.2, 0.3)])

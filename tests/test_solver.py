@@ -14,6 +14,11 @@ def base():
 
 
 @pytest.fixture(scope="module")
+def mirror():
+    return solver.solve_spiral(1, -0.5)
+
+
+@pytest.fixture(scope="module")
 def sweep():
     return solver.wavenumber_sweep(1, [1.0, 0.8, 0.6, 0.5, 0.4])
 
@@ -54,14 +59,23 @@ def test_boundary_mismatch_small(base):
     assert rep.residual <= 1e-10
 
 
-def test_outer_mismatch_op_consistency(base):
+def _assert_outer_mismatch(prof, rep):
     # the report's residuals are the endpoint's distance from the far field
-    # at the matching radius
-    prof, rep = base
-    p = solver.SpiralParams(1, 0.5, rep.k_numeric)
+    # at the matching radius; compared as text, so a zero keeps its sign
+    p = solver.SpiralParams(prof.n, prof.q, rep.k_numeric)
     _, _, F0, v = outer.far_field(p.n, p.q, p.k, p.eps * prof.r_max)
-    assert rep.boundary_residuals == (float(prof.f[-1] - F0),
-                                      float(prof.v[-1] - v))
+    assert str(rep.boundary_residuals) == str((float(prof.f[-1] - F0),
+                                               float(prof.v[-1] - v)))
+
+
+def test_outer_mismatch_op_consistency(base):
+    _assert_outer_mismatch(*base)
+
+
+def test_mirrored_outer_mismatch_op_consistency(mirror):
+    # the mirrored v residual is the signed endpoint's distance from the
+    # signed far field: its exact zero at this twist stays +0.0
+    _assert_outer_mismatch(*mirror)
 
 
 def test_prefactor_and_ratio_consistent(base):
@@ -166,9 +180,9 @@ def test_small_twist_names_log_k(q):
         solver.solve_spiral(1, q)
 
 
-def test_mirror_twist_symmetry(base):
+def test_mirror_twist_symmetry(base, mirror):
     prof_p, rep_p = base
-    prof_m, rep_m = solver.solve_spiral(1, -0.5)
+    prof_m, rep_m = mirror
     assert abs(rep_m.k_numeric - rep_p.k_numeric) <= 1e-12
     assert abs(prof_m.c_f - prof_p.c_f) <= 1e-12
     r = np.geomspace(0.01, prof_p.r_max, 200)
@@ -315,8 +329,7 @@ def _slope_and_curvature(n, x, y, dy):
     return y[1] + a * y[0], dy[1] + da * y[0] + a * dy[0]
 
 
-def test_system_residual_on_converged_profile(base):
-    prof, _ = base
+def _assert_system_residual(prof):
     params = solver.SpiralParams(prof.n, prof.q, prof.k)
     # off-node points exercise the interpolant between collocation points
     x = np.geomspace(prof.r_start * 2, prof.r_max * 0.98, 4001)
@@ -340,6 +353,18 @@ def test_system_residual_on_converged_profile(base):
     rf, rv = solver.system_residual(xn, yn[0], gn, dgn, vn, dvn, params)
     assert np.max(np.abs(rf)) < 1e-11
     assert np.max(np.abs(rv)) < 1e-11
+
+
+def test_system_residual_on_converged_profile(base):
+    _assert_system_residual(base[0])
+
+
+def test_system_residual_on_mirrored_profile(mirror):
+    # the -q profile's interpolant is the |q| one with w negated; its rows
+    # and their derivatives solve the system at the signed twist
+    prof, _ = mirror
+    assert prof.q == -0.5
+    _assert_system_residual(prof)
 
 
 def test_lambda_omega_specialization_identity():
@@ -469,8 +494,7 @@ def test_endpoint_slope_at_large_order(n, q):
     assert V_end == pytest.approx(V_ref, rel=1e-9)
 
 
-@pytest.fixture(scope="module", params=[(1, 0.5), (1, -0.5), (2, 0.5),
-                                        (2, -0.5)], ids=str)
+@pytest.fixture(scope="module")
 def converged(request):
     n, q = request.param
     prof, rep = solver.solve_spiral(n, q)
@@ -480,6 +504,8 @@ def converged(request):
     return n, q, prof, y, np.array([prof.c_f, math.log(rep.k_numeric)])
 
 
+@pytest.mark.parametrize("converged", [(1, 0.5), (1, -0.5), (2, 0.5),
+                                       (2, -0.5)], ids=str, indirect=True)
 def test_rhs_jacobian_matches_complex_step(converged):
     # complex steps take no differences, so they hold where w ~ 0 and at
     # n = 2, where f ~ 1e-7 at the series cut
@@ -497,6 +523,9 @@ def test_rhs_jacobian_matches_complex_step(converged):
     assert not np.any(df_dp[:, 0])
 
 
+# _boundary sees only q > 0: a solve at -q is the one at |q| mirrored
+@pytest.mark.parametrize("converged", [(1, 0.5), (1, 1.0), (2, 0.5),
+                                       (2, 0.3)], ids=str, indirect=True)
 def test_boundary_jacobian_matches_central_differences(converged):
     n, q, prof, y, p = converged
     bc, bc_jac = solver._boundary(n, q, prof.r_max)
@@ -518,9 +547,9 @@ def test_boundary_jacobian_matches_central_differences(converged):
 
 
 def test_mirror_twists_share_the_mesh():
-    # exact Jacobians make the Newton path at -q the mirror of the one at
-    # +q bit for bit; 0.3 and 0.28 took 124,687 and 53,552 nodes at +q
-    # under forward-difference Jacobians
+    # a solve at -q is the one at |q| mirrored, so mesh, k and -v agree by
+    # construction; 0.3 and 0.28 took 124,687 and 53,552 nodes at +q under
+    # forward-difference Jacobians
     for q in (0.5, 0.3, 0.28):
         plus, rep_p = solver.solve_spiral(2, q)
         minus, rep_m = solver.solve_spiral(2, -q)
@@ -532,7 +561,7 @@ def test_mirror_twists_share_the_mesh():
 
 def _assert_mirror_pair(n, q):
     # both signs converge, meet the first-integral and far-field guarantees
-    # and are mirrors bit for bit
+    # and are mirrors bit for bit, down to the report's residuals and checks
     plus, rep_p = solver.solve_spiral(n, q)
     minus, rep_m = solver.solve_spiral(n, -q)
     for prof, rep in ((plus, rep_p), (minus, rep_m)):
@@ -540,8 +569,28 @@ def _assert_mirror_pair(n, q):
         assert prof.first_integral_gap() <= 1e-9
         assert max(map(abs, rep.boundary_residuals)) <= 1e-6
     assert rep_p.k_numeric == rep_m.k_numeric
+    assert rep_p.c_f == rep_m.c_f == plus.c_f == minus.c_f
     assert np.array_equal(plus.r_grid, minus.r_grid)
     assert np.array_equal(plus.v, -minus.v)
+    (f_p, v_p), (f_m, v_m) = rep_p.boundary_residuals, rep_m.boundary_residuals
+    assert f_m == f_p and v_m == -v_p
+    assert rep_m.properties == rep_p.properties
+    assert rep_m.message == rep_p.message
+
+
+def test_negative_twist_reaches_far_field_at_positive_twist(monkeypatch):
+    # the sign of q is decided once, in solve_spiral: the Newton system at
+    # -q, its boundary rows included, is the one at |q|
+    real, twists = outer.far_field, []
+
+    def spy(n, q, k, R):
+        twists.append(q)
+        return real(n, q, k, R)
+
+    monkeypatch.setattr(outer, "far_field", spy)
+    _, rep = solver.solve_spiral(1, -0.5)
+    assert rep.status == 0 and rep.q == -0.5
+    assert twists and all(q == 0.5 for q in twists)
 
 
 def test_three_arm_solve_at_small_twist():

@@ -7,6 +7,7 @@ declared test dependency, is the live high-precision oracle.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -239,6 +240,16 @@ def test_theta_recurrence_example():
 
 def test_theta0_at_zero():
     assert sf.gamma_arg(0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("k,nu,message", [
+    (-1, 0.2, "index must be a nonnegative integer, got -1"),
+    (0.5, 0.2, "index must be a nonnegative integer, got 0.5"),
+    (0, -0.1, "order magnitude must be nonnegative, got nu=-0.1"),
+])
+def test_gamma_arg_refusals(k, nu, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sf.gamma_arg(k, nu)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,9 +8,13 @@ the matching radius r_max as ``float.hex``, the collocation mesh node
 count and the report's ``newton_iterations`` (or the error a refused case
 raises).  That count is solve_bvp's ``niter``, the number of
 mesh-refinement passes of the twist's one collocation solve, not of
-Newton steps.  Two trees give the same output exactly when every case
-keeps its c_f, tail constant, k and r_max bit for bit, its mesh and its
-pass count, so a refactor that claims bit-identity is checked with
+Newton steps.  Each case at q < 0 adds a ``mirror`` line with v[-1] and
+the report's v boundary residual as ``float.hex`` and the sha256 of
+``interpolant(x)`` and ``interpolant(x, 1)`` at fixed off-node radii x,
+so a sign slip in w, v or the interpolant of a negative twist shows.
+Two trees give the same output exactly when every case keeps its c_f,
+tail constant, k and r_max bit for bit, its mesh and its pass count, so
+a refactor that claims bit-identity is checked with
 
     PYTHONPATH=src python3 tools/fingerprint.py > new.txt
     diff old.txt new.txt
@@ -58,6 +62,8 @@ SOLVES = [
     *((n, 0.5, {"tol": 1e-12}) for n in (1, 2)),
     (2, 0.5, {"r_max": 200.0}),
 ]
+# inside [R_START, r_max] of every negative twist above (r_max >= 15.2)
+MIRROR_RADII = np.geomspace(0.0123, 15.1, 97)
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
 POWERS = np.array([float(f"1e{j}") for j in range(-6, 19)])
 CSV_EDGES = np.concatenate([
@@ -92,6 +98,14 @@ def _line(label, profile, report):
             f"iters={report.newton_iterations}")
 
 
+def _mirror_line(label, profile, report):
+    rows = np.concatenate([profile.interpolant(MIRROR_RADII),
+                           profile.interpolant(MIRROR_RADII, 1)])
+    return (f"{label} mirror: v[-1]={float(profile.v[-1]).hex()} "
+            f"res_v={report.boundary_residuals[1].hex()} "
+            f"interpolant sha256={_sha256(rows.tobytes())}")
+
+
 def main():
     for n in (1, 2, 3):
         profile = core.solve_profile(n)
@@ -103,9 +117,13 @@ def main():
         args = ", ".join(f"{key}={val}" for key, val in kwargs.items())
         label = f"solve_spiral({n}, {q}, {args})"
         try:
-            print(_line(label, *solver.solve_spiral(n, q, **kwargs)))
+            profile, report = solver.solve_spiral(n, q, **kwargs)
         except (ValueError, RuntimeError) as exc:
             print(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        print(_line(label, profile, report))
+        if q < 0:
+            print(_mirror_line(label, profile, report))
 
     # wavenumber_sweep calls the module-level solve_spiral; wrap it to see
     # each solve's mesh
