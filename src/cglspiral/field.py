@@ -21,11 +21,17 @@ is scaled to its correctly rounded 17-digit integer by an exact
 (Dekker) product, whose digits come from a table of 4-digit groups and
 are laid into a fixed-width cell; every other value (zero, nan, inf,
 subnormals, and the exponent notation outside that range) is formatted
-by Python's own ``%``.
+by Python's own ``%``.  The blocks are formatted on one thread per CPU
+the process may run on, each thread pinned to its CPU, and written in
+order, so the bytes do not depend on the CPU count; no option sets it.
+JSON export is single-threaded.
 """
 
+import collections
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,22 +172,25 @@ def export(grid, path, format="csv"):
     reading the file back reproduces the doubles exactly; the bytes are
     those ``write_csv`` would give for the five columns.  The x and y
     cells are formatted once per frame and re, im, abs in blocks of whole
-    grid rows.  JSON carries the metadata plus flat row-major re/im
-    arrays.
+    grid rows, on one thread per available CPU.  JSON carries the
+    metadata plus flat row-major re/im arrays.
     """
     if grid.values.size == 0:
         raise ValueError("refusing to export an empty grid")
     if format == "csv":
         xs, ys = _format_g17(grid.x), _format_g17(grid.y)
         step = max(1, _BLOCK_ROWS // grid.nx)
+
+        def block(i):
+            rows = grid.values[i:i + step]
+            cells = _format_g17(
+                np.stack((rows.real, rows.imag, np.abs(rows)), axis=-1))
+            return _csv_rows([xs, ys[i:i + step, None],
+                              *np.moveaxis(cells, -2, 0)])
+
         with open(path, "wb") as fh:
             fh.write(b"x,y,re,im,abs\n")
-            for i in range(0, grid.ny, step):
-                rows = grid.values[i:i + step]
-                cells = _format_g17(
-                    np.stack((rows.real, rows.imag, np.abs(rows)), axis=-1))
-                fh.write(_csv_rows([xs, ys[i:i + step, None],
-                                    *np.moveaxis(cells, -2, 0)]))
+            _write_blocks(fh, block, range(0, grid.ny, step))
     elif format == "json":
         doc = {
             "nx": grid.nx, "ny": grid.ny, "extent": grid.extent, "t": grid.t,
@@ -204,14 +213,68 @@ def write_csv(path, header, columns):
     reading the file back reproduces the doubles exactly; the bytes are
     those numpy's own text writer gives for ``np.column_stack(columns)``
     with that format, a comma delimiter and the header as an uncommented
-    first line.  Rows are formatted in blocks of ``_BLOCK_ROWS``.
+    first line.  Rows are formatted in blocks of ``_BLOCK_ROWS``, on one
+    thread per available CPU.
     """
     table = np.column_stack(columns)
+
+    def block(i):
+        cells = _format_g17(table[i:i + _BLOCK_ROWS])
+        return _csv_rows(list(np.moveaxis(cells, -2, 0)))
+
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for i in range(0, len(table), _BLOCK_ROWS):
-            cells = _format_g17(table[i:i + _BLOCK_ROWS])
-            fh.write(_csv_rows(list(np.moveaxis(cells, -2, 0))))
+        _write_blocks(fh, block, range(0, len(table), _BLOCK_ROWS))
+
+
+def _available_cpus():
+    """The CPUs this process may run on, from its affinity mask.
+
+    Where the OS keeps no affinity mask, ``os.cpu_count()`` entries of
+    None: as many CPUs, which the workers are not pinned to.
+    """
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return [None] * (os.cpu_count() or 1)
+
+
+def _write_blocks(fh, block, starts):
+    """Write ``block(i)`` for each i of ``starts`` to ``fh``, in order.
+
+    The blocks are formatted on a pool of one thread per available CPU
+    (numpy releases the GIL in the formatter's array operations), at most
+    workers + 1 of them ahead of the write, so no more than workers + 1
+    formatted blocks are held at once.  Each worker is pinned to its own
+    CPU: a kernel that does not balance load between CPUs (a cpuset with
+    ``sched_load_balance`` off) keeps a new thread on the CPU of the
+    thread that started it.  The bytes do not depend on the number of
+    workers.  An exception from a block is raised here, and no pool thread
+    outlives the call.
+    """
+    cpus = _available_cpus()
+    unpinned = iter(cpus)
+
+    def pin():
+        # runs once in each new worker; a list iterator's next() is one
+        # call under the GIL, so no two workers take the same CPU
+        cpu = next(unpinned)
+        if cpu is None:
+            return
+        try:
+            os.sched_setaffinity(0, {cpu})   # 0: the calling thread
+        except OSError:
+            pass   # the pin is for speed only: say the CPU went offline
+
+    workers = len(cpus)
+    pending = collections.deque()
+    with ThreadPoolExecutor(workers, initializer=pin) as pool:
+        for i in starts:
+            if len(pending) > workers:
+                fh.write(pending.popleft().result())
+            pending.append(pool.submit(block, i))
+        while pending:
+            fh.write(pending.popleft().result())
 
 
 # Longest %.17g text of a float64: "-2.2250738585072014e-308".
@@ -264,6 +327,47 @@ def _split(a):
     return hi, a - hi
 
 
+def _round17(a, X):
+    """a * 10**(16 - X) rounded to an integer, ties to even, for a > 0.
+
+    Dekker's product: a * scale = p + e exactly, with p = fl(a * scale).
+    Where D = p + rint(e) lies in [1e16, 1e17), p >= 2**53 is an even
+    integer, so D is a * scale rounded to an integer with ties to even:
+    the 17 significant digits %.17g prints, with decimal exponent X.  (No
+    product below 1e16 reaches D = 1e16: the double just under each of
+    10**-4 .. 10**15 scales to at most 1e16 - 0.83.)  Any other D, from a
+    misjudged log10, is the caller's to send to the fallback.
+    """
+    scale = _POW10[16 - X]
+    p = a * scale
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scale)
+    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digit_words(D):
+    """The 17 digits of D as cell words, and D's significant-digit count.
+
+    Returns the three little-endian words with digit j at byte 6 + j, the
+    three with it at byte 7 + j, and K, the number of digits up to the
+    last nonzero one.
+    """
+    rest, g4 = np.divmod(D, 10 ** 4)
+    rest, g3 = np.divmod(rest, 10 ** 4)
+    rest, g2 = np.divmod(rest, 10 ** 4)
+    d0, g1 = np.divmod(rest, 10 ** 4)
+    K = np.ones(D.size, np.intp)
+    for first, g in ((1, g1), (5, g2), (9, g3), (13, g4)):
+        K = np.where(g != 0, first + _SIGNIFICANT4[g], K)
+    at7 = [(d0 + ord("0")).astype("<u8") << 56,
+           _DIGITS4[g1] | (_DIGITS4[g2] << 32),
+           _DIGITS4[g3] | (_DIGITS4[g4] << 32)]
+    at6 = [(at7[0] >> 8) | (at7[1] << 56), (at7[1] >> 8) | (at7[2] << 56),
+           at7[2] >> 8]
+    return at6, at7, K
+
+
 def _format_g17(values):
     """``"%.17g" % v`` of every float64 v, as NUL-padded ``_CELL``-byte cells.
 
@@ -275,39 +379,18 @@ def _format_g17(values):
     fast = (a >= 1e-4) & (a < 1e16)
     a = np.where(fast, a, 1.0)
     X = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
-    scale = _POW10[16 - X]
-    # Dekker's product: a * scale = p + e exactly, with p = fl(a * scale).
-    # Where D = p + rint(e) lies in [1e16, 1e17), p >= 2**53 is an even
-    # integer, so D is a * scale rounded to an integer with ties to even:
-    # the 17 significant digits %.17g prints, with decimal exponent X.
-    # (No product below 1e16 reaches D = 1e16: the double just under each
-    # of 10**-4 .. 10**15 scales to at most 1e16 - 0.83.)  Any other D,
-    # from a misjudged log10, goes to the fallback.
-    p = a * scale
-    a_hi, a_lo = _split(a)
-    s_hi, s_lo = _split(scale)
-    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
-    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    D = _round17(a, X)
     fast &= (D >= 10 ** 16) & (D < 10 ** 17)
-    rest, g4 = np.divmod(D, 10 ** 4)
-    rest, g3 = np.divmod(rest, 10 ** 4)
-    rest, g2 = np.divmod(rest, 10 ** 4)
-    d0, g1 = np.divmod(rest, 10 ** 4)
-    K = np.ones(x.size, np.intp)
-    for first, g in ((1, g1), (5, g2), (9, g3), (13, g4)):
-        K = np.where(g != 0, first + _SIGNIFICANT4[g], K)
-    # the cell as three little-endian words: digit j at byte 7 + j ...
-    at7 = [(d0 + ord("0")).astype("<u8") << 56,
-           _DIGITS4[g1] | (_DIGITS4[g2] << 32),
-           _DIGITS4[g3] | (_DIGITS4[g4] << 32)]
-    # ... and at byte 6 + j
-    at6 = [(at7[0] >> 8) | (at7[1] << 56), (at7[1] >> 8) | (at7[2] << 56),
-           at7[2] >> 8]
-    masks = _CELL_MASKS[(X + 4) * 17 + K - 1]
+    at6, at7, K = _digit_words(D)
+    # the masks are gathered a word at a time, not as one (size, 9) table,
+    # to keep small the temporaries of a block, which each writer thread
+    # holds one of
+    row = (X + 4) * 17 + K - 1
     cells = np.empty((x.size, 3), "<u8")
     for w in range(3):
-        cells[:, w] = ((at6[w] & masks[:, w]) | (at7[w] & masks[:, 3 + w])
-                       | masks[:, 6 + w])
+        cells[:, w] = ((at6[w] & _CELL_MASKS[row, w])
+                       | (at7[w] & _CELL_MASKS[row, 3 + w])
+                       | _CELL_MASKS[row, 6 + w])
     cells[:, 0] |= (x < 0.0) * np.uint64(ord("-"))
     cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
@@ -323,7 +406,7 @@ def _csv_rows(columns):
 
     The arrays broadcast to one shape (..., _CELL); each row of it is
     joined with commas and ended by a newline, and the NUL padding is
-    dropped.
+    dropped.  Returns the text as a flat uint8 array.
     """
     shape = np.broadcast_shapes(*(c.shape for c in columns))[:-1]
     out = np.empty(shape + (len(columns), _CELL + 1), np.uint8)
@@ -331,7 +414,8 @@ def _csv_rows(columns):
         out[..., j, :_CELL] = cells
     out[..., _CELL] = ord(",")
     out[..., -1, _CELL] = ord("\n")
-    return out.tobytes().translate(None, b"\0")
+    # a mask, not bytes.translate: numpy releases the GIL, translate holds it
+    return out[out != 0]
 
 
 @dataclass

@@ -17,8 +17,11 @@ Omega = -beta + k_star^2 (beta - alpha), amplitude C = sqrt(1-k_star^2).
 Admissibility needs 1 + alpha beta > 0 (equivalently 1 - alpha q > 0)
 and 0 <= k < 1; then 1 - alpha Omega_hat > 0 and 1 - Omega alpha > 0
 follow, as does the dispersion relation (an algebraic identity, checked
-here only against float rounding), but at extreme |q| 1 - Omega alpha
-can round to zero or below, which is refused.
+here only against float rounding).  Formed as a difference, 1 - Omega
+alpha cancels at extreme |q|, so the rescales are computed from the
+closed forms a = sqrt(1 - alpha Omega_hat) and delta = sqrt((1 - alpha
+Omega_hat)/(1 - alpha q)); a denominator 1 - alpha Omega_hat <= 0 is
+refused.
 """
 
 import math
@@ -80,14 +83,16 @@ def physical_from_reduced(alpha, q, k):
     beta = beta_from_alpha_q(alpha, q)
     omega_hat = q * (1.0 - k * k)
     den = 1.0 - alpha * omega_hat
+    if den <= 0.0:
+        raise ValueError(f"1 - alpha*Omega_hat = {den:.4g} at "
+                         f"alpha={alpha!r}, q={q!r}, k={k!r}; it must be "
+                         "positive")
     Omega = -(alpha + omega_hat) / den
-    k_star = k / math.sqrt(den)
-    one_minus = 1.0 - Omega * alpha
-    if one_minus <= 0.0:
-        raise ValueError(f"1 - Omega*alpha rounds to {one_minus:.4g} at "
-                         f"alpha={alpha!r}, q={q!r}; it must be positive")
-    a = math.sqrt((1.0 + alpha * alpha) / one_minus)
-    delta = math.sqrt((1.0 + alpha * beta) / one_minus)
+    # 1 - Omega alpha = (1 + alpha^2)/den and 1 + alpha beta = (1 + alpha^2)
+    # /(1 - alpha q): the closed forms, not the differences, which cancel
+    a = math.sqrt(den)
+    k_star = k / a
+    delta = math.sqrt(den / (1.0 - alpha * q))
     return PhysicalTriple(alpha=alpha, beta=beta, Omega=Omega, k_star=k_star,
                           a=a, delta=delta, q=q, k=k, Omega_hat=omega_hat)
 

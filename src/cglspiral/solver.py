@@ -355,9 +355,11 @@ def _q0_solve(n, r_max, tol):
     prof0 = core.solve_profile(n, r_max=400.0 if r_max is None else r_max,
                                tol=tol)
     r = np.geomspace(core.R_START, prof0.r_max, 4001)
-    # the core's rows (f, z) are the twisted solve's at q = 0
-    interp = lambda rr: np.vstack([prof0.sol(rr)[:2],
-                                   np.zeros_like(np.asarray(rr, float))])
+    # the core's rows (f, z) are the twisted solve's at q = 0, where w = 0;
+    # the zeroed row of coefficients is +0.0, so w evaluates to +0.0
+    c = prof0.sol.c.copy()
+    c[..., 2] = 0.0
+    interp = PPoly.construct_fast(c, prof0.sol.x, axis=1)
     profile = _profile(n, 0.0, 0.0, prof0.c_f, r, interp(r), interp)
     report = WavenumberReport(
         n=n, q=0.0, k_numeric=0.0, k_asymptotic=0.0, mu=0.0,

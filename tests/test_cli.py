@@ -495,15 +495,17 @@ class TestPhysicalCommand:
         assert abs(doc["dispersion_residual"]) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_rescale_past_float_range_is_domain_error(self, capsys,
-                                                      tmp_path):
-        # 1 - Omega*alpha rounds to 0 here; the map once died dividing by it
+    def test_rescale_at_extreme_twist_maps(self, capsys, tmp_path):
+        # 1 - Omega*alpha rounds to 0 here as a difference; the map once
+        # died dividing by it, then refused the input
         rc, out, err = run(capsys, "physical", "--alpha", "42.93462744784837",
                            "--q=-3.93e63", "--k", "0.9999999999999999",
                            "--out-dir", str(tmp_path))
-        assert rc == 1
-        assert err.startswith("cglspiral: 1 - Omega*alpha rounds to 0 at ")
-        assert out == ""
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["a"] == pytest.approx(6.120969807946722e+24, rel=1e-15)
+        assert doc["delta"] == pytest.approx(1.4901161193847656e-08,
+                                             rel=1e-15)
 
     def test_from_solve(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "solve", "--n", "1", "--q", "0.5",

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import threading
+import time
 import types
 
 import numpy as np
@@ -242,7 +245,11 @@ class TestExport:
         field.export(grid, tmp_path / "f.csv", "csv")
         assert (tmp_path / "f.csv").read_bytes() == want
 
-    @pytest.mark.parametrize("spec", [(21, 17, 10.0), (3, 2, 10.0)])
+    @pytest.mark.parametrize("spec", [
+        (21, 17, 10.0), (3, 2, 10.0),
+        (257, 129, 10.0),                  # 31 grid rows a block, last short
+        (field._BLOCK_ROWS + 7, 3, 10.0),  # a block is one grid row
+    ])
     def test_csv_bytes_match_savetxt(self, default_solve, spec, tmp_path):
         prof, _ = default_solve
         grid = field.sample_field(prof, field.theta_of_r(prof), 1, 0.3, 0.25,
@@ -279,6 +286,52 @@ class TestExport:
         assert ",1000000000000000.2," in text
         assert ",1000000000000000.8," in text
         assert ",123456789012345.12," in text
+
+    def test_block_error_reaches_caller_and_stops_pool(self, default_solve,
+                                                       monkeypatch, tmp_path):
+        prof, _ = default_solve
+        grid = field.sample_field(prof, field.theta_of_r(prof), 1, 0.3, 0.25,
+                                  (4000, 13, 10.0))   # seven blocks
+        rows, calls = field._csv_rows, []
+
+        def failing(columns):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("block 3")
+            return rows(columns)
+
+        monkeypatch.setattr(field, "_csv_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 3"):
+            field.export(grid, tmp_path / "f.csv", "csv")
+        assert threading.active_count() == before
+
+    def test_blocks_formatted_at_most_one_past_the_workers(self):
+        cpus = field._available_cpus()
+        workers = len(cpus)
+        written, ahead, masks, out = [], [], set(), io.BytesIO()
+
+        def block(i):
+            # blocks started and not yet written, this one included
+            ahead.append(i + 1 - len(written))
+            masks.add(frozenset(os.sched_getaffinity(0)))
+            return b"%d\n" % i
+
+        class SlowFile:
+            def write(self, data):
+                time.sleep(0.002)   # let the pool run ahead of the write
+                out.write(data)
+                written.append(data)
+
+        before = threading.active_count()
+        count = 4 * (workers + 1) + 3
+        field._write_blocks(SlowFile(), block, range(count))
+        assert out.getvalue() == b"".join(b"%d\n" % i for i in range(count))
+        assert max(ahead) <= workers + 1
+        assert threading.active_count() == before
+        # each worker ran on one CPU of the mask; the caller's mask is kept
+        assert all(len(m) == 1 and m <= set(cpus) for m in masks)
+        assert field._available_cpus() == cpus
 
     def test_json_bytes_match_json_dump(self, small_grid, tmp_path):
         path = tmp_path / "f.json"

@@ -95,19 +95,31 @@ class TestForwardMap:
         with pytest.raises(ValueError, match="inadmissible"):
             physical.physical_from_reduced(1.9, 0.6, 0.1)
 
-    @pytest.mark.parametrize("alpha,q,k,rounded", [
-        (42.93462744784837, -3.93e63, 0.9999999999999999, "0"),
-        (46.52314208373754, -3.5278201020516075e+144, 0.21368721943054814,
-         "-2.22e-16"),
-    ])
-    def test_rescale_denominator_rounding_refused(self, alpha, q, k,
-                                                  rounded):
+    @pytest.mark.parametrize("alpha,q,k", [
+        (42.93462744784837, -3.93e63, 0.9999999999999999),
+        (46.52314208373754, -3.5278201020516075e+144, 0.21368721943054814),
+    ], ids=["omega-alpha-rounds-to-zero", "omega-alpha-rounds-below-zero"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_extreme_twist_maps(self, alpha, q, k):
         # 1 - Omega*alpha = (1 + alpha^2)/(1 - alpha*Omega_hat) > 0 exactly,
-        # but at extreme |q| it rounds to zero (a division by zero) or below
-        # (a square root of a negative number)
+        # but formed as a difference it rounds to 0 (first case) or below
+        # (second), so the map once refused these admissible inputs
+        den = 1.0 - alpha * q * (1.0 - k * k)
+        assert den > 1e49
+        trip = physical.physical_from_reduced(alpha, q, k)
+        assert trip.a == math.sqrt(den)
+        assert trip.k_star == k / trip.a
+        assert trip.delta == pytest.approx(math.sqrt(den / (1.0 - alpha * q)),
+                                           rel=1e-15)
+        assert 0.0 < trip.delta < math.inf
+
+    def test_nonpositive_frequency_denominator_refused(self, monkeypatch):
+        # 1 - alpha*Omega_hat > 0 follows from admissibility; a twist map
+        # that let a pair with 1 - alpha*q <= 0 through is refused by name
+        monkeypatch.setattr(physical, "beta_from_alpha_q", lambda a, q: 0.0)
         with pytest.raises(ValueError,
-                           match=rf"1 - Omega\*alpha rounds to {rounded} at "):
-            physical.physical_from_reduced(alpha, q, k)
+                           match=r"1 - alpha\*Omega_hat = -1 at alpha=2\.0"):
+            physical.physical_from_reduced(2.0, 1.0, 0.0)
 
 
 class TestConsistencyIdentities:

@@ -152,6 +152,23 @@ def test_zero_twist_is_untwisted_core():
     assert np.max(np.abs(prof.f_at(r) - prof0.f(r))) < 1e-12
 
 
+def test_zero_twist_interpolant_takes_order_and_scalar():
+    # the q = 0 interpolant was once a one-argument lambda over arrays
+    prof, _ = solver.solve_spiral(1, 0.0)
+    sol0 = core.solve_profile(1, r_max=400.0, tol=1e-10).sol
+    r = np.geomspace(0.02, 300.0, 25)
+    for nu in (0, 1):
+        rows = prof.interpolant(r, nu)
+        assert rows.shape == (3, r.size)
+        assert np.array_equal(rows[:2], sol0(r, nu)[:2])
+        # w = 0 as +0.0, not -0.0
+        assert np.all(rows[2] == 0.0) and not np.signbit(rows[2]).any()
+    at_one = prof.interpolant(1.0)
+    assert at_one.shape == (3,)
+    assert np.array_equal(at_one, prof.interpolant(np.array([1.0]))[:, 0])
+    assert prof.interpolant(1.0, 1)[0] == sol0(1.0, 1)[0]
+
+
 def test_zero_twist_honours_r_max():
     # the untwisted solve once ran on the core's default r_max = 400
     prof, rep = solver.solve_spiral(1, 0.0, r_max=5000.0)

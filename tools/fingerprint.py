@@ -31,15 +31,17 @@ and, at tol = 1e-12, their c_f (so a q = 0 solve that ignores its tol
 shows), and one march from
 the origin at the converged n = 1, q = 0.5 solve, with the last values of
 its first integral and of v.  Then come the sha256 digests of a small CSV
-and JSON export of the field of that solve, and of a ``write_csv`` table
-of edge values for the CSV float formatter (every power of ten from 1e-6
-to 1e18 with both neighbours, half-way ties and integers, with their
-negatives, zeros, nan, infinities and subnormals), so a change to the
-writers is diffed like a solve.  Last come the sha256 digests of the stdout and the
-output files of fixed in-process ``cli.main`` runs of ``solve``,
-``inner-solve``, ``sweep``, ``kappa``, ``physical``, ``field``,
-``outer-eval`` and ``bessel-eval`` in a temporary directory; manifests are not hashed.  Each
-run passes only flags its subcommand reads, after the subcommand name.
+and JSON export of the field of that solve, of a CSV export of a 257x129
+frame of it, which the writer formats in five blocks of grid rows, and of
+a ``write_csv`` table of edge values for the CSV float formatter (every
+power of ten from 1e-6 to 1e18 with both neighbours, half-way ties and
+integers, with their negatives, zeros, nan, infinities and subnormals),
+so a change to the writers is diffed like a solve.  Last come the sha256
+digests of the stdout and the output files of fixed in-process
+``cli.main`` runs of ``solve``, ``inner-solve``, ``sweep``, ``kappa``,
+``physical``, ``field``, ``outer-eval`` and ``bessel-eval`` in a
+temporary directory; manifests are not hashed.  Each run passes only
+flags its subcommand reads, after the subcommand name.
 """
 
 import contextlib
@@ -64,6 +66,8 @@ SOLVES = [
 ]
 # inside [R_START, r_max] of every negative twist above (r_max >= 15.2)
 MIRROR_RADII = np.geomspace(0.0123, 15.1, 97)
+# 8192 // 257 = 31 grid rows to a CSV block: four full blocks, a short fifth
+MULTI_BLOCK_GRID = (257, 129, 30.0)
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
 POWERS = np.array([float(f"1e{j}") for j in range(-6, 19)])
 CSV_EDGES = np.concatenate([
@@ -162,14 +166,20 @@ def main():
           f"v[-1]={float(march.v[-1]).hex()}")
 
     omega = 0.5 * (1.0 - report.k_numeric ** 2)
-    grid = field.sample_field(profile, field.theta_of_r(profile), 1, omega,
-                              0.25, (33, 25, 30.0))
+    table = field.theta_of_r(profile)
+    grid = field.sample_field(profile, table, 1, omega, 0.25, (33, 25, 30.0))
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "json"):
             path = Path(tmp) / f"frame.{fmt}"
             field.export(grid, path, fmt)
             digest = _sha256(path.read_bytes())
             print(f"export(1, 0.5, 33x25, {fmt}): sha256={digest}")
+        wide = field.sample_field(profile, table, 1, omega, 0.25,
+                                  MULTI_BLOCK_GRID)
+        path = Path(tmp) / "wide.csv"
+        field.export(wide, path, "csv")
+        print(f"export(1, 0.5, {wide.nx}x{wide.ny}, csv): "
+              f"sha256={_sha256(path.read_bytes())}")
         path = Path(tmp) / "edges.csv"
         field.write_csv(path, "x,reversed", [CSV_EDGES, CSV_EDGES[::-1]])
         print(f"write_csv({CSV_EDGES.size} edge values): "
