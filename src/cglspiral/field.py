@@ -6,7 +6,9 @@ Theta(r) = integral of v from 0 to r.  This module builds the phase
 table, samples the field on a Cartesian grid, exports CSV/JSON data
 files, and measures the arm spacing of the sampled pattern, whose far
 field approximates an Archimedean spiral of radial pitch 2 pi n / |k|
-per arm.
+per arm.  Sampling evaluates f and Theta once per distinct radius
+hypot(|x|, |y|) of the grid and gathers them back onto every grid point;
+a centred grid repeats most of its radii.
 
 Grid corners lie beyond the inscribed disk of radius ``extent``; where
 the radius exceeds the profile domain the amplitude is frozen at its
@@ -21,10 +23,15 @@ is scaled to its correctly rounded 17-digit integer by an exact
 (Dekker) product, whose digits come from a table of 4-digit groups and
 are laid into a fixed-width cell; every other value (zero, nan, inf,
 subnormals, and the exponent notation outside that range) is formatted
-by Python's own ``%``.  The blocks are formatted on one thread per CPU
+by Python's own ``%``.  A cell's text is one run of bytes, most often
+ending at the cell's last byte, so the NUL padding is dropped in few
+runs.  The tables it reads (the split powers of ten, the place of a
+group's last nonzero digit, one contiguous row per cell-mask word) are
+built once, at import.  The blocks are formatted on one thread per CPU
 the process may run on, each thread pinned to its CPU, and written in
 order, so the bytes do not depend on the CPU count; no option sets it.
-JSON export is single-threaded.
+A table of one block is written on the calling thread.  JSON export is
+single-threaded.
 """
 
 import collections
@@ -133,7 +140,9 @@ def sample_field(profile, theta, n, omega, t, grid_spec, chirality=1):
     ``grid_spec`` is (nx, ny, extent); the half-width extent must not
     exceed the profile domain, and n must be the profile's arm count.
     Corner samples outside r_max use the frozen-amplitude linear-phase
-    continuation of the phase table.
+    continuation of the phase table.  f and Theta are evaluated once per
+    distinct radius hypot(|x|, |y|), which gives the same doubles as
+    evaluating them at every grid point.
     """
     nx, ny, extent = grid_spec
     nx, ny = int(nx), int(ny)
@@ -152,12 +161,15 @@ def sample_field(profile, theta, n, omega, t, grid_spec, chirality=1):
         raise ValueError(f"chirality must be +1 or -1, got {chirality!r}")
     x = np.linspace(-extent, extent, nx)
     y = np.linspace(-extent, extent, ny)
-    X, Y = np.meshgrid(x, y)
-    r = np.hypot(X, Y)
-    phi = np.arctan2(Y, X)
-    f = profile.f_at(r)
-    psi = theta(r) + chirality * n * phi + omega * t
-    values = f * np.exp(1j * psi)
+    # np.hypot(|x|, |y|) is np.hypot(x, y), so f and Theta are evaluated
+    # once per distinct radius and gathered back onto the grid
+    ax, ix = np.unique(np.abs(x), return_inverse=True)
+    ay, iy = np.unique(np.abs(y), return_inverse=True)
+    r = np.hypot(ax, ay[:, None])
+    on_grid = np.ix_(iy, ix)
+    phi = np.arctan2(y[:, None], x)
+    psi = theta(r)[on_grid] + chirality * n * phi + omega * t
+    values = profile.f_at(r)[on_grid] * np.exp(1j * psi)
     return FieldGrid(nx=nx, ny=ny, extent=float(extent), t=float(t),
                      chirality=int(chirality), n=int(n), q=float(profile.q),
                      k=float(profile.k), omega=float(omega), x=x, y=y,
@@ -172,8 +184,9 @@ def export(grid, path, format="csv"):
     reading the file back reproduces the doubles exactly; the bytes are
     those ``write_csv`` would give for the five columns.  The x and y
     cells are formatted once per frame and re, im, abs in blocks of whole
-    grid rows, on one thread per available CPU.  JSON carries the
-    metadata plus flat row-major re/im arrays.
+    grid rows, on one thread per available CPU (a single block on the
+    calling thread).  JSON carries the metadata plus flat row-major re/im
+    arrays.
     """
     if grid.values.size == 0:
         raise ValueError("refusing to export an empty grid")
@@ -214,7 +227,7 @@ def write_csv(path, header, columns):
     those numpy's own text writer gives for ``np.column_stack(columns)``
     with that format, a comma delimiter and the header as an uncommented
     first line.  Rows are formatted in blocks of ``_BLOCK_ROWS``, on one
-    thread per available CPU.
+    thread per available CPU (a single block on the calling thread).
     """
     table = np.column_stack(columns)
 
@@ -250,8 +263,13 @@ def _write_blocks(fh, block, starts):
     ``sched_load_balance`` off) keeps a new thread on the CPU of the
     thread that started it.  The bytes do not depend on the number of
     workers.  An exception from a block is raised here, and no pool thread
-    outlives the call.
+    outlives the call.  A single block is formatted on the calling thread,
+    with no pool.
     """
+    if len(starts) <= 1:
+        for i in starts:
+            fh.write(block(i))
+        return
     cpus = _available_cpus()
     unpinned = iter(cpus)
 
@@ -287,6 +305,11 @@ _GROUP_TEXT = (np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10
                + ord("0")).astype(np.uint8)
 _DIGITS4 = _GROUP_TEXT.view("<u4").ravel().astype("<u8")
 _SIGNIFICANT4 = ((_GROUP_TEXT != ord("0")) * np.arange(1, 5)).max(axis=1)
+# the last nonzero digit's place in a 17-digit integer (1 for none) when
+# the group is the one at digits 1-4, 5-8, 9-12 or 13-16 (0 is the first)
+_LAST_NONZERO = np.where(_SIGNIFICANT4 > 0,
+                         np.array([[1], [5], [9], [13]]) + _SIGNIFICANT4,
+                         1).astype(np.uint8)
 _POW10 = np.array([float(10 ** j) for j in range(21)])  # all exact
 
 
@@ -294,30 +317,38 @@ def _cell_masks(X, K):
     """Byte masks that lay out a 17-digit integer D as a ``%.17g`` cell.
 
     The value is D * 10**(X - 16) with K significant digits (D's trailing
-    zeros dropped).  Cell byte 0 holds the sign, bytes 1-5 the ``0.`` and
-    leading zeros of an |x| < 1, and digit j of D sits at byte 6 + j up to
-    the point and at byte 7 + j after it.  Returns three cells joined:
-    the mask on the digits at 6 + j, the mask on the digits at 7 + j, and
-    the constant bytes; unused bytes are NUL.
+    zeros dropped).  Digit j of D sits at byte 6 + j up to the point and
+    at byte 7 + j after it; the ``0.`` and leading zeros of an |x| < 1 end
+    at byte 6, and the sign goes just before the text.  So a cell's text
+    is one run of bytes, which ends at the cell's last byte when K = 17,
+    the common case, and joins the separator after the cell.  Returns
+    three cells and a word joined: the mask on the digits at 6 + j, the
+    mask on the digits at 7 + j, the constant bytes, and the minus sign
+    in the first word; unused bytes are NUL.
     """
     at6, at7, const = bytearray(_CELL), bytearray(_CELL), bytearray(_CELL)
+    sign = bytearray(8)
     if X < 0:
         head = b"0." + b"0" * (-X - 1)
-        const[1:1 + len(head)] = head
-        at6[6:6 + K] = b"\xff" * K
+        const[7 - len(head):7] = head
+        at7[7:7 + K] = b"\xff" * K
+        sign[6 - len(head)] = ord("-")
     else:
         keep = max(K, X + 1)
         at6[6:7 + X] = b"\xff" * (X + 1)
         if keep > X + 1:
             const[7 + X] = ord(".")
             at7[8 + X:7 + keep] = b"\xff" * (keep - X - 1)
-    return at6 + at7 + const
+        sign[5] = ord("-")
+    return at6 + at7 + const + sign
 
 
 # row (X + 4) * 17 + K - 1 for X in [-4, 15], K in [1, 17]
 _CELL_MASKS = np.frombuffer(
     b"".join(_cell_masks(X, K) for X in range(-4, 16) for K in range(1, 18)),
-    "<u8").reshape(-1, 9)
+    "<u8").reshape(-1, 10)
+# one contiguous row per mask word, so that a word's gather reads no other
+_MASK_WORDS = np.ascontiguousarray(_CELL_MASKS.T)
 
 
 def _split(a):
@@ -325,6 +356,10 @@ def _split(a):
     c = 134217729.0 * a
     hi = c - (c - a)
     return hi, a - hi
+
+
+# each power of ten split once, for _round17's exact product
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _round17(a, X):
@@ -338,12 +373,22 @@ def _round17(a, X):
     10**-4 .. 10**15 scales to at most 1e16 - 0.83.)  Any other D, from a
     misjudged log10, is the caller's to send to the fallback.
     """
-    scale = _POW10[16 - X]
-    p = a * scale
+    j = 16 - X
+    p = a * _POW10[j]
     a_hi, a_lo = _split(a)
-    s_hi, s_lo = _split(scale)
+    s_hi, s_lo = _POW10_HI[j], _POW10_LO[j]
     e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
     return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _divmod_10k(a):
+    """divmod(a, 10**4) for integers a >= 0.
+
+    numpy's floor division by a constant is about twice as fast as its
+    divmod, and the remainder is one multiply and subtract more.
+    """
+    q = a // 10 ** 4
+    return q, a - q * 10 ** 4
 
 
 def _digit_words(D):
@@ -353,13 +398,12 @@ def _digit_words(D):
     three with it at byte 7 + j, and K, the number of digits up to the
     last nonzero one.
     """
-    rest, g4 = np.divmod(D, 10 ** 4)
-    rest, g3 = np.divmod(rest, 10 ** 4)
-    rest, g2 = np.divmod(rest, 10 ** 4)
-    d0, g1 = np.divmod(rest, 10 ** 4)
-    K = np.ones(D.size, np.intp)
-    for first, g in ((1, g1), (5, g2), (9, g3), (13, g4)):
-        K = np.where(g != 0, first + _SIGNIFICANT4[g], K)
+    rest, g4 = _divmod_10k(D)
+    rest, g3 = _divmod_10k(rest)
+    rest, g2 = _divmod_10k(rest)
+    d0, g1 = _divmod_10k(rest)
+    K = np.maximum(np.maximum(_LAST_NONZERO[0][g1], _LAST_NONZERO[1][g2]),
+                   np.maximum(_LAST_NONZERO[2][g3], _LAST_NONZERO[3][g4]))
     at7 = [(d0 + ord("0")).astype("<u8") << 56,
            _DIGITS4[g1] | (_DIGITS4[g2] << 32),
            _DIGITS4[g3] | (_DIGITS4[g4] << 32)]
@@ -372,7 +416,9 @@ def _format_g17(values):
     """``"%.17g" % v`` of every float64 v, as NUL-padded ``_CELL``-byte cells.
 
     Returns a uint8 array of shape ``values.shape + (_CELL,)``; removing
-    the NUL bytes from a cell leaves exactly the ``%.17g`` text.
+    the NUL bytes from a cell leaves exactly the ``%.17g`` text.  That
+    text is one run of bytes, and it ends at the cell's last byte when it
+    has 17 significant digits or comes from ``%``.
     """
     x = np.asarray(values, dtype=float).ravel()
     a = np.abs(x)
@@ -382,20 +428,20 @@ def _format_g17(values):
     D = _round17(a, X)
     fast &= (D >= 10 ** 16) & (D < 10 ** 17)
     at6, at7, K = _digit_words(D)
-    # the masks are gathered a word at a time, not as one (size, 9) table,
+    # the masks are gathered a word at a time, not as one (size, 10) table,
     # to keep small the temporaries of a block, which each writer thread
     # holds one of
     row = (X + 4) * 17 + K - 1
     cells = np.empty((x.size, 3), "<u8")
     for w in range(3):
-        cells[:, w] = ((at6[w] & _CELL_MASKS[row, w])
-                       | (at7[w] & _CELL_MASKS[row, 3 + w])
-                       | _CELL_MASKS[row, 6 + w])
-    cells[:, 0] |= (x < 0.0) * np.uint64(ord("-"))
+        cells[:, w] = ((at6[w] & _MASK_WORDS[w][row])
+                       | (at7[w] & _MASK_WORDS[3 + w][row])
+                       | _MASK_WORDS[6 + w][row])
+    cells[:, 0] |= (x < 0.0) * _MASK_WORDS[9][row]
     cells = cells.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = b"".join((b"%.17g" % v).ljust(_CELL, b"\0")
+        text = b"".join((b"%.17g" % v).rjust(_CELL, b"\0")
                         for v in x[slow].tolist())
         cells[slow] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
     return cells.reshape(np.shape(values) + (_CELL,))
@@ -414,7 +460,9 @@ def _csv_rows(columns):
         out[..., j, :_CELL] = cells
     out[..., _CELL] = ord(",")
     out[..., -1, _CELL] = ord("\n")
-    # a mask, not bytes.translate: numpy releases the GIL, translate holds it
+    # a mask, not bytes.translate: numpy releases the GIL, translate holds
+    # it; the mask copies run by run, and a cell whose text ends at its
+    # last byte adds no run of its own to the separator after it
     return out[out != 0]
 
 

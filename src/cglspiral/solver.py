@@ -27,6 +27,7 @@ the mesh and k agree bit for bit by construction.  Zero twist returns
 the untwisted core profile with k = 0 exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +63,8 @@ class RadialProfile:
 
     ``interpolant(r)`` returns the rows (f, z, w = r f^2 v) of :func:`_rhs`;
     ``f_at`` and ``v_at`` are its readers, and ``df`` holds f' on the grid.
+    ``f_at`` reads the f row only: from a piecewise polynomial it evaluates
+    that row's coefficients alone, which gives interpolant(r)[0] bit for bit.
     ``integral`` holds I(r) = int_0^r xi f^2 (1 - f^2 - k^2) dxi computed
     by independent quadrature over the dense interpolant, so comparing
     w against -q I is a real consistency check, not a tautology.
@@ -100,12 +103,22 @@ class RadialProfile:
                               np.nextafter(self.r_max, -math.inf),
                               below, inside, lambda x: frozen)
 
+    @functools.cached_property
+    def _f_row(self):
+        # a PPoly evaluates each row with the same arithmetic, so its f row
+        # alone gives the bits of interpolant(x)[0]; a march's OdeSolution
+        # has no rows to pick
+        if isinstance(self.interpolant, PPoly):
+            return PPoly.construct_fast(self.interpolant.c[..., 0],
+                                        self.interpolant.x)
+        return lambda x: self.interpolant(x)[0]
+
     def f_at(self, r):
         """Amplitude at radii r: series below r_start, interpolant on the
         grid, frozen at f[-1] from r_max on."""
         return self._piece(
             r, lambda x: core.core_series(self.n, self.c_f, x)[0],
-            lambda x: self.interpolant(x)[0], self.f[-1])
+            self._f_row, self.f[-1])
 
     def v_at(self, r):
         """Phase gradient at radii r: the origin law below r_start, w/(r f^2)

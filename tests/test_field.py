@@ -183,6 +183,72 @@ class TestSampleField:
         assert np.max(np.abs(resid)) <= 1e-12
 
 
+def direct_field(profile, theta, omega, t, spec, chirality):
+    """The field by its formula on every grid point, one radius per point."""
+    nx, ny, extent = spec
+    X, Y = np.meshgrid(np.linspace(-extent, extent, nx),
+                       np.linspace(-extent, extent, ny))
+    r = np.hypot(X, Y)
+    f = profile.f_at(r)
+    psi = theta(r) + chirality * profile.n * np.arctan2(Y, X) + omega * t
+    return f * np.exp(1j * psi)
+
+
+@pytest.fixture(scope="module")
+def frame_profiles():
+    # the benchmark's spiral, an n = 2 profile, the -q mirror of each and
+    # an untwisted one
+    solves = {
+        "n1": solver.solve_spiral(1, 0.5, r_max=1500.0),
+        "n1_mirror": solver.solve_spiral(1, -0.5, r_max=1500.0),
+        "n2": solver.solve_spiral(2, 0.5),
+        "n2_mirror": solver.solve_spiral(2, -0.5),
+        "q0": solver.solve_spiral(1, 0.0),
+    }
+    return {name: (prof, field.theta_of_r(prof),
+                   prof.q * (1.0 - rep.k_numeric ** 2))
+            for name, (prof, rep) in solves.items()}
+
+
+class TestSampleFieldAgainstFormula:
+    """Evaluating f and Theta once per distinct radius changes no bit."""
+
+    # (nx, ny, extent), an extent of None being the profile's r_max, where
+    # the corners read the frozen continuation
+    @pytest.mark.parametrize("spec", [
+        (257, 129, 0.6),     # not square
+        (101, 77, 0.3),      # odd: x = 0 and y = 0 lie on the grid
+        (2, 2, 0.5),
+        (64, 48, None),
+    ])
+    @pytest.mark.parametrize("name", ["n1", "n1_mirror", "n2", "n2_mirror",
+                                      "q0"])
+    @pytest.mark.parametrize("chirality", [1, -1])
+    def test_bits_equal_direct_formula(self, frame_profiles, name, spec,
+                                       chirality):
+        prof, theta, omega = frame_profiles[name]
+        nx, ny, share = spec
+        extent = prof.r_max if share is None else share * prof.r_max
+        self.assert_bits_equal(prof, theta, omega, (nx, ny, extent),
+                               chirality)
+
+    @pytest.mark.parametrize("name", ["n1", "n1_mirror"])
+    @pytest.mark.parametrize("chirality", [1, -1])
+    def test_benchmark_frame_bits_equal_direct_formula(
+            self, frame_profiles, name, chirality):
+        prof, theta, omega = frame_profiles[name]
+        self.assert_bits_equal(prof, theta, omega, (512, 512, 1500.0),
+                               chirality)
+
+    @staticmethod
+    def assert_bits_equal(prof, theta, omega, spec, chirality):
+        grid = field.sample_field(prof, theta, prof.n, omega, 0.7, spec,
+                                  chirality=chirality)
+        want = direct_field(prof, theta, omega, 0.7, spec, chirality)
+        assert np.array_equal(grid.values.view(np.uint64),
+                              want.view(np.uint64))
+
+
 class TestExport:
     @pytest.fixture()
     def small_grid(self, default_solve):
@@ -306,6 +372,24 @@ class TestExport:
             field.export(grid, tmp_path / "f.csv", "csv")
         assert threading.active_count() == before
 
+    def test_one_block_is_written_without_threads(self, small_grid,
+                                                  monkeypatch, tmp_path):
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        columns = [np.linspace(0.1, 1.5, 15), np.arange(15.0) ** 3]
+        want = self.savetxt_bytes(tmp_path / "oracle.csv", "a,b", columns)
+        field.write_csv(tmp_path / "t.csv", "a,b", columns)
+        assert (tmp_path / "t.csv").read_bytes() == want
+        assert small_grid.nx * small_grid.ny <= field._BLOCK_ROWS
+        self.assert_export_matches_savetxt(small_grid, tmp_path)
+        assert started == []
+
     def test_blocks_formatted_at_most_one_past_the_workers(self):
         cpus = field._available_cpus()
         workers = len(cpus)
@@ -388,6 +472,55 @@ class TestExport:
         field.export(small_grid, p1, "csv")
         field.export(small_grid, p2, "csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFormatterTables:
+    """The CSV formatter's tables, derived once, against their definitions."""
+
+    def test_pow10_split_is_exact_and_short(self):
+        hi, lo = field._POW10_HI, field._POW10_LO
+        assert np.array_equal(hi + lo, field._POW10)
+
+        def bits(v):
+            # the significant bits of v: its odd integer part
+            num = abs(v.as_integer_ratio()[0])
+            return (num // (num & -num)).bit_length() if num else 0
+
+        assert max(bits(v) for v in np.concatenate([hi, lo]).tolist()) <= 26
+
+    def test_significant_digits_match_group_chain(self):
+        # the former count: start at 1, and let each nonzero 4-digit group,
+        # left to right, set K to its last nonzero digit's place
+        g = np.arange(10 ** 4)
+        for place in range(4):
+            D = 10 ** 16 + g * 10 ** (12 - 4 * place)
+            rest, g4 = np.divmod(D, 10 ** 4)
+            rest, g3 = np.divmod(rest, 10 ** 4)
+            rest, g2 = np.divmod(rest, 10 ** 4)
+            g1 = rest % 10 ** 4
+            want = np.ones(D.size, np.intp)
+            for first, grp in ((1, g1), (5, g2), (9, g3), (13, g4)):
+                want = np.where(grp != 0, first + field._SIGNIFICANT4[grp],
+                                want)
+            assert np.array_equal(field._digit_words(D)[2], want)
+
+    def test_mask_words_are_the_transposed_masks(self):
+        assert field._MASK_WORDS.flags.c_contiguous
+        assert np.array_equal(field._MASK_WORDS, field._CELL_MASKS.T)
+
+    def test_cell_text_is_one_run(self):
+        # one run of bytes per cell, ending at the cell's last byte for 17
+        # significant digits, so that it joins the separator after it
+        rng = np.random.default_rng(3)
+        values = np.concatenate([EDGE_VALUES, rng.standard_normal(2000)
+                                 * 10.0 ** rng.integers(-6, 18, 2000)])
+        for v, cell in zip(values.tolist(), field._format_g17(values)):
+            text = b"%.17g" % v
+            at = np.flatnonzero(cell)
+            assert cell[at[0]:at[-1] + 1].tobytes() == text
+            digits = text.lstrip(b"-0.").replace(b".", b"").split(b"e")[0]
+            if len(digits.rstrip(b"0")) == 17 or not 1e-4 <= abs(v) < 1e16:
+                assert at[-1] == field._CELL - 1
 
 
 class TestArmSpacing:

@@ -169,6 +169,33 @@ def test_zero_twist_interpolant_takes_order_and_scalar():
     assert prof.interpolant(1.0, 1)[0] == sol0(1.0, 1)[0]
 
 
+@pytest.mark.parametrize("route", ["twisted", "mirrored", "q0", "marched"])
+def test_f_at_reads_the_full_interpolants_f_row(route, base, mirror):
+    # f_at evaluates the f row alone; the bits must be those of the full
+    # interpolant's f row, on every route that builds a profile
+    if route == "twisted":
+        prof = base[0]
+    elif route == "mirrored":
+        prof = mirror[0]
+    elif route == "q0":
+        prof = solver.solve_spiral(1, 0.0)[0]
+    else:
+        prof = solver.integrate_from_origin(
+            solver.SpiralParams(1, 0.5, base[1].k_numeric), base[0].c_f, 5.0)
+    inside = np.concatenate([
+        prof.r_grid[:-1], [prof.r_start, np.nextafter(prof.r_max, -math.inf)],
+        np.geomspace(prof.r_start, prof.r_max, 301)[1:-1]])
+    assert np.array_equal(prof.f_at(inside).view(np.uint64),
+                          prof.interpolant(inside)[0].view(np.uint64))
+    r = prof.r_grid[len(prof.r_grid) // 3]
+    assert isinstance(prof.f_at(r), float)
+    assert prof.f_at(r) == prof.interpolant(r)[0]
+    # from r_max on, the amplitude is frozen at the last node value
+    beyond = np.array([prof.r_max, np.nextafter(prof.r_max, math.inf),
+                       1.5 * prof.r_max])
+    assert np.array_equal(prof.f_at(beyond), np.full(3, prof.f[-1]))
+
+
 def test_zero_twist_honours_r_max():
     # the untwisted solve once ran on the core's default r_max = 400
     prof, rep = solver.solve_spiral(1, 0.0, r_max=5000.0)

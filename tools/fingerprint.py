@@ -32,8 +32,10 @@ shows), and one march from
 the origin at the converged n = 1, q = 0.5 solve, with the last values of
 its first integral and of v.  Then come the sha256 digests of a small CSV
 and JSON export of the field of that solve, of a CSV export of a 257x129
-frame of it, which the writer formats in five blocks of grid rows, and of
-a ``write_csv`` table of edge values for the CSV float formatter (every
+frame of it, which the writer formats in five blocks of grid rows, of an
+odd, non-square 129x65 CSV frame at chirality -1 of the n = 2, q = -0.5
+mirror out to its r_max, whose corners lie beyond the profile domain, and
+of a ``write_csv`` table of edge values for the CSV float formatter (every
 power of ten from 1e-6 to 1e18 with both neighbours, half-way ties and
 integers, with their negatives, zeros, nan, infinities and subnormals),
 so a change to the writers is diffed like a solve.  Last come the sha256
@@ -68,6 +70,8 @@ SOLVES = [
 MIRROR_RADII = np.geomspace(0.0123, 15.1, 97)
 # 8192 // 257 = 31 grid rows to a CSV block: four full blocks, a short fifth
 MULTI_BLOCK_GRID = (257, 129, 30.0)
+# odd sizes put x = 0 and y = 0 on the grid; the extent is the mirror's r_max
+MIRROR_FRAME = (2, -0.5, 129, 65)
 SWEEP_TWISTS = tuple(1.0 - 0.8 * i / 14 for i in range(15))
 POWERS = np.array([float(f"1e{j}") for j in range(-6, 19)])
 CSV_EDGES = np.concatenate([
@@ -111,6 +115,7 @@ def _mirror_line(label, profile, report):
 
 
 def main():
+    mirror = None
     for n in (1, 2, 3):
         profile = core.solve_profile(n)
         tail = core.tail_constant(profile).value
@@ -128,6 +133,8 @@ def main():
         print(_line(label, profile, report))
         if q < 0:
             print(_mirror_line(label, profile, report))
+        if (n, q) == MIRROR_FRAME[:2]:
+            mirror = profile, report
 
     # wavenumber_sweep calls the module-level solve_spiral; wrap it to see
     # each solve's mesh
@@ -180,6 +187,16 @@ def main():
         field.export(wide, path, "csv")
         print(f"export(1, 0.5, {wide.nx}x{wide.ny}, csv): "
               f"sha256={_sha256(path.read_bytes())}")
+        n, q, nx, ny = MIRROR_FRAME
+        profile, report = mirror
+        frame = field.sample_field(
+            profile, field.theta_of_r(profile), n,
+            q * (1.0 - report.k_numeric ** 2), 0.25,
+            (nx, ny, profile.r_max), chirality=-1)
+        path = Path(tmp) / "mirror.csv"
+        field.export(frame, path, "csv")
+        print(f"export({n}, {q}, {nx}x{ny}, extent=r_max, chirality=-1, "
+              f"csv): sha256={_sha256(path.read_bytes())}")
         path = Path(tmp) / "edges.csv"
         field.write_csv(path, "x,reversed", [CSV_EDGES, CSV_EDGES[::-1]])
         print(f"write_csv({CSV_EDGES.size} edge values): "
