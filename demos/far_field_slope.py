@@ -32,9 +32,9 @@ print(f"  monotonicity margin min(dV0)   : {scan['slope_margin']:.3e}")
 print(f"  far-law constant |V0+1+1/(2R)| R^2 <= {scan['far_law_constant']:.4f}")
 
 print()
-print("physical-variable view at (n=1, q=0.5, k=0.09):")
-params = outer.SpiralParams(n=1, q=0.5, k=0.09)
+n, q, k = 1, 0.5, 0.09
+print(f"physical-variable view at (n={n}, q={q}, k={k}):")
 for r in (40.0, 100.0, 400.0):
-    _, _, f, v = outer.far_field(params.n, params.q, params.k, params.eps * r)
-    print(f"  r={r:6.0f}: v_out = {v:+.6f} (heads to -k = {-params.k}), "
+    _, _, f, v = outer.far_field(n, q, k, k * abs(q) * r)
+    print(f"  r={r:6.0f}: v_out = {v:+.6f} (heads to -k = {-k}), "
           f"f_out = {f:.6f}")

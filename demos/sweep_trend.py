@@ -5,7 +5,7 @@ the asymptotic prediction kappa(q), with the relative error shrinking.
 This is the central quantitative claim of the library: the ratio
 k_numeric / kappa tends to 1, and |ratio - 1| scaled by |log q| stays
 bounded.  Each solve is seeded with the previous twist's k, carried down
-the sweep by the asymptotic law, which keeps the Newton counts low.
+the sweep by the asymptotic law, which keeps the mesh-pass counts low.
 """
 
 import math
@@ -17,11 +17,11 @@ reports = wavenumber_sweep(1, qs)
 
 print("n=1 twist sweep, warm-started downward")
 print(f"{'q':>5}  {'k numeric':>12}  {'kappa asym':>12}  {'ratio':>8}"
-      f"  {'|r-1||log q|':>12}  {'iters':>5}")
+      f"  {'|r-1||log q|':>12}  {'passes':>6}")
 for rep in reports:
     scaled = abs(rep.ratio - 1.0) * abs(math.log(rep.q))
     print(f"{rep.q:5.2f}  {rep.k_numeric:12.6e}  {rep.k_asymptotic:12.6e}"
-          f"  {rep.ratio:8.5f}  {scaled:12.5f}  {rep.newton_iterations:5d}")
+          f"  {rep.ratio:8.5f}  {scaled:12.5f}  {rep.newton_iterations:6d}")
 
 print()
 print("trend: k falls steeply (the law is exponential in 1/q) while the")

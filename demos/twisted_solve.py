@@ -20,7 +20,7 @@ profile, report = solve_spiral(1, 0.5)
 m_f, m_v = report.boundary_residuals
 print("n=1, q=0.5 twisted spiral")
 print(f"  selected wavenumber k : {report.k_numeric:.12f}")
-print(f"  Newton iterations     : {report.newton_iterations}")
+print(f"  mesh passes           : {report.newton_iterations}")
 print(f"  collocation residual  : {report.residual:.2e}")
 print(f"  core slope c_f        : {report.c_f:.12f}")
 print(f"  domain                : [{profile.r_grid[0]:g}, {profile.r_grid[-1]:.1f}]"

@@ -38,7 +38,7 @@ from . import core, field, outer, physical, solver, specfun, wavenumber
 from .core import solve_profile, tail_constant
 from .field import measure_arm_spacing, sample_field, theta_of_r
 from .physical import physical_from_reduced
-from .solver import SpiralParams, solve_spiral, wavenumber_sweep
+from .solver import solve_spiral, wavenumber_sweep
 from .wavenumber import kappa_asym, matching_constant, mu_bar
 
 __version__ = "0.1.0"
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "core", "field", "outer", "physical", "solver", "specfun", "wavenumber",
     "solve_profile", "tail_constant", "theta_of_r", "sample_field",
-    "measure_arm_spacing", "physical_from_reduced", "SpiralParams",
-    "solve_spiral", "wavenumber_sweep", "kappa_asym", "matching_constant",
-    "mu_bar", "__version__",
+    "measure_arm_spacing", "physical_from_reduced", "solve_spiral",
+    "wavenumber_sweep", "kappa_asym", "matching_constant", "mu_bar",
+    "__version__",
 ]

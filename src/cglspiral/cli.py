@@ -173,14 +173,18 @@ def _cmd_bessel_eval(args):
 
 
 def _cmd_outer_eval(args):
-    params = outer.SpiralParams(n=args.n, q=args.q, k=args.k)
+    n, q, k = args.n, args.q, args.k
+    core.check_arms(n)
+    if q == 0.0:
+        raise CliError("a twisted solution needs a nonzero twist")
+    if not 0.0 < k < 1.0:
+        raise CliError(f"wavenumber must lie in (0, 1), got {k!r}")
     r = _parse_grid_spec(args.r_grid)
-    R = params.eps * r
+    R = k * abs(q) * r
     V0, dV0, F0, v = (np.empty_like(R) for _ in range(4))
     for i, Ri in enumerate(R.tolist()):
-        V0[i], dV0[i], F0[i], v[i] = outer.far_field(
-            params.n, params.q, params.k, Ri)
-    resid = dV0 - (1.0 - params.nu ** 2 / R ** 2 - V0 / R - V0 ** 2)
+        V0[i], dV0[i], F0[i], v[i] = outer.far_field(n, q, k, Ri)
+    resid = dV0 - (1.0 - (n * abs(q)) ** 2 / R ** 2 - V0 / R - V0 ** 2)
     out = args.out_dir / args.out
     field.write_csv(out, "r,R,V0,F0,v_out,riccati_residual",
                     [r, R, V0, F0, v, resid])

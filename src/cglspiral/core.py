@@ -73,6 +73,20 @@ def check_tol(tol):
                          f"of solve_bvp), got {tol!r}")
 
 
+def check_arms(n):
+    """Refuse an arm count that is not a positive integer."""
+    if n < 1 or int(n) != n:
+        raise ValueError(f"arm count must be a positive integer, got {n!r}")
+
+
+def check_r_max(r_max):
+    """Refuse an outer radius that is not finite and above the series cut
+    R_START, naming the cut."""
+    if not R_START < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and above the series cut "
+                         f"core.R_START = {R_START:g}, got {r_max!r}")
+
+
 def core_series(n, c, r):
     """Small-radius expansion of the profile and its slope.
 
@@ -316,22 +330,27 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     round-off near the cut lies far below solve_bvp's Newton stopping test
     (see the module notes), and :meth:`CoreProfile.df` turns it back.
     Newton runs on the exact Jacobians of the rows and of the boundary
-    conditions.  An r_max where the tail's f is not in (0, 1) is refused
-    with the radius it needs, a tol not finite or below TOL_FLOOR is
+    conditions.  An r_max where the tail's f is not positive is refused
+    with the radius it needs, one so large that the tail's f rounds to 1
+    is refused as too large, a tol not finite or below TOL_FLOOR is
     refused naming it, and a converged c_f <= 0 raises: none is a profile.
 
     Returns
     -------
     CoreProfile
     """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"arm count must be a positive integer, got {n!r}")
-    if not R_START < r_max < math.inf:
-        raise ValueError(f"r_max must be finite and above the series cut "
-                         f"core.R_START = {R_START:g}, got {r_max!r}")
+    check_arms(n)
+    check_r_max(r_max)
     check_tol(tol)
     n = int(n)
-    far_f, _ = far_profile(n, r_max)
+    # past r ~ 1e154 the tail's r^2 overflows to inf, and f is 1 all the same
+    with np.errstate(over="ignore"):
+        far_f, _ = far_profile(n, r_max)
+    if far_f == 1.0:
+        raise ValueError(
+            f"r_max = {r_max!r} is too large: the algebraic tail's f rounds "
+            f"to 1 there, which pins no profile; n = {n} needs a smaller "
+            f"r_max")
     if not 0.0 < far_f < 1.0:
         raise ValueError(
             f"r_max = {r_max!r} is below the algebraic tail's floor: its f "

@@ -25,15 +25,14 @@ the argument where K itself underflows float64.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
 
 __all__ = [
-    "SpiralParams", "validity_floor", "decay_slope", "far_field",
-    "slope_cotangent", "property_scan",
+    "validity_floor", "decay_slope", "far_field", "slope_cotangent",
+    "property_scan",
 ]
 
 
@@ -42,38 +41,6 @@ def validity_floor(nu):
     if nu <= 0.0:
         return 0.0
     return 2.0 * math.exp(-math.pi / (2.0 * nu))
-
-
-@dataclass(frozen=True)
-class SpiralParams:
-    """Arm count, twist and wavenumber of one twisted solution."""
-
-    n: int
-    q: float
-    k: float
-
-    def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"arm count must be a positive integer, got {self.n!r}")
-        if self.q == 0.0:
-            raise ValueError("a twisted solution needs a nonzero twist")
-        if not 0.0 < self.k < 1.0:
-            raise ValueError(f"wavenumber must lie in (0, 1), got {self.k!r}")
-
-    @property
-    def nu(self):
-        return self.n * abs(self.q)
-
-    @property
-    def eps(self):
-        return self.k * abs(self.q)
-
-    @property
-    def mu(self):
-        """Prefactor k |q| e^{pi/(2 n |q|)}, composed in log space."""
-        log_mu = math.log(self.k) + math.log(abs(self.q)) \
-            + math.pi / (2.0 * self.n * abs(self.q))
-        return math.exp(log_mu) if log_mu < 709.0 else math.inf
 
 
 def decay_slope(nu, R):

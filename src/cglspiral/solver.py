@@ -36,16 +36,14 @@ from scipy.integrate import solve_bvp, solve_ivp
 from scipy.interpolate import PPoly
 
 from . import core, outer, wavenumber
-from .outer import SpiralParams
 
 __all__ = [
-    "SpiralParams", "RadialProfile", "WavenumberReport",
+    "RadialProfile", "WavenumberReport",
     "system_residual", "lambda_omega_residual", "cgl_lambda_omega",
     "integrate_from_origin", "solve_spiral",
     "wavenumber_sweep",
 ]
 
-_TINY = 1e-300
 # initial collocation mesh of the twisted solve
 N_MESH = 1400
 # largest matching radius a cold solve may ask for
@@ -125,7 +123,7 @@ class RadialProfile:
         on the grid, frozen at v[-1] from r_max on."""
         def from_w(x):
             y = self.interpolant(x)
-            return y[2] / (x * y[0] * y[0] + _TINY)
+            return y[2] / (x * y[0] * y[0])
 
         return self._piece(
             r, lambda x: core.origin_law(self.n, self.q, self.k, self.c_f, x),
@@ -162,7 +160,7 @@ class WavenumberReport:
         return abs(self.ratio - 1.0) * abs(math.log(abs(self.q)))
 
 
-def system_residual(r, f, df, ddf, v, dv, params):
+def system_residual(r, f, df, ddf, v, dv, n, q, k):
     """Residuals of the reduced amplitude/phase system at given states.
 
     res_f = f'' + f'/r - f n^2/r^2 + f (1 - f^2 - v^2)
@@ -170,7 +168,6 @@ def system_residual(r, f, df, ddf, v, dv, params):
 
     Both vanish on exact rotating solutions.
     """
-    n, q, k = params.n, params.q, params.k
     res_f = ddf + df / r - f * n * n / (r * r) + f * (1.0 - f * f - v * v)
     res_v = f * dv + f * v / r + 2.0 * df * v + q * f * (1.0 - f * f - k * k)
     return res_f, res_v
@@ -214,7 +211,7 @@ def _wavenumber(p):
 def _rhs(n, q, k, r, y):
     """Twisted system in the rows (f, z, w), stacked as (3, ...) arrays."""
     f, z, w = y
-    v = w / (r * f * f + _TINY)
+    v = w / (r * f * f)
     return np.vstack([*core.amplitude_rows(n, r, f, z, v * v),
                       -q * r * f * f * (1.0 - f * f - k * k)])
 
@@ -223,7 +220,7 @@ def _rhs_jac(n, q, k, r, y):
     """Exact Jacobians of :func:`_rhs` in the rows (f, z, w) and in the
     parameters (c_f, log k), shaped (3, 3, m) and (3, 2, m) for solve_bvp."""
     f, z, w = y
-    d = r * f * f + _TINY
+    d = r * f * f
     v = w / d
     (ff, fz), (zf, zz) = core.amplitude_jac(n, r, f, v * v)
     zero = np.zeros_like(f)
@@ -257,11 +254,11 @@ def _profile(n, q, k, c, r, y, interpolant, **diagnostics):
         core.series_moment(n, c, k2, core.R_START))
     return RadialProfile(n=n, q=q, k=k, c_f=c, r_grid=r, f=f,
                          df=core.slope_from_z(n, r, f, z),
-                         v=w / (r * f * f + _TINY), integral=I, w=w,
+                         v=w / (r * f * f), integral=I, w=w,
                          interpolant=interpolant, **diagnostics)
 
 
-def integrate_from_origin(params, c_f_guess, r_max):
+def integrate_from_origin(n, q, k, c_f_guess, r_max):
     """March the profile outward from a series start at given (c_f, k).
 
     The march advances the rows (f, z, w) of the collocation solve from
@@ -272,7 +269,6 @@ def integrate_from_origin(params, c_f_guess, r_max):
     """
     if c_f_guess <= 0.0:
         raise ValueError(f"core slope must be positive, got {c_f_guess!r}")
-    n, q, k = params.n, params.q, params.k
 
     def escape(r, y):
         return min(y[0] - (-0.02), 1.05 - y[0])
@@ -301,7 +297,7 @@ def _boundary(n, q, r_max):
     def bc(ya, yb, p):
         k = _wavenumber(p)
         _, _, f_o, v_o = outer.far_field(n, q, k, k * q * r_max)
-        v_end = yb[2] / (r_max * yb[0] * yb[0] + _TINY)
+        v_end = yb[2] / (r_max * yb[0] * yb[0])
         return np.append(ya - _start(n, q, p[0], k * k)[0],
                          [yb[0] - f_o, v_end - v_o])
 
@@ -311,7 +307,7 @@ def _boundary(n, q, r_max):
         # dR/dlog k = R, and the far field's eps n/R = n/r_max is free of k
         V0, dV0, f_o, _ = outer.far_field(n, q, k, R)
         dV = k * (V0 + R * dV0)
-        d = r_max * yb[0] * yb[0] + _TINY
+        d = r_max * yb[0] * yb[0]
         dbc_dyb = np.zeros((5, 3))
         dbc_dyb[3, 0] = 1.0
         dbc_dyb[4] = [-2.0 * r_max * yb[0] * yb[2] / (d * d), 0.0, 1.0 / d]
@@ -400,9 +396,8 @@ def solve_spiral(n, q, k_init=None, tol=1e-10, r_max=None):
     None), and a ``k_init`` is refused.
     """
     core.check_tol(tol)
-    if r_max is not None and not core.R_START < r_max < math.inf:
-        raise ValueError(f"r_max must be finite and above the series cut "
-                         f"core.R_START = {core.R_START:g}, got {r_max!r}")
+    if r_max is not None:
+        core.check_r_max(r_max)
     if q == 0.0:
         if k_init is not None:
             raise ValueError(f"an untwisted solve takes no initial k, got "
@@ -439,13 +434,16 @@ def solve_spiral(n, q, k_init=None, tol=1e-10, r_max=None):
     profile = _profile(n, q, k, float(sol.p[0]), sol.x, sol.y * s[:, None],
                        PPoly.construct_fast(sol.sol.c * s, sol.sol.x, axis=1))
     res_f, res_v = bc(sol.y[:, 0], sol.y[:, -1], sol.p)[3:] * s[1:] + 0.0
+    # the prefactor mu = k |q| e^{pi/(2 n |q|)}, composed in log space
+    log_mu = math.log(k) + math.log(abs(q)) + math.pi / (2.0 * n * abs(q))
     report = WavenumberReport(
         n=n, q=q, k_numeric=k, k_asymptotic=ka.value,
         ratio=k / ka.value if ka.value > 0 else math.inf,
         boundary_residuals=(float(res_f), float(res_v)),
         newton_iterations=int(sol.niter),
         residual=float(np.max(sol.rms_residuals)), r_max=profile.r_max,
-        mu=SpiralParams(n=n, q=q, k=k).mu, c_f=profile.c_f)
+        mu=math.exp(log_mu) if log_mu < 709.0 else math.inf,
+        c_f=profile.c_f)
     _check_properties(profile, report)
     return profile, report
 

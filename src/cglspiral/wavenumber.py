@@ -57,12 +57,9 @@ __all__ = [
     "solve_matching_mu",
 ]
 
-_LOG_UNDERFLOW = -745.0
-
 
 def _check_nq(n, q):
-    if n < 1 or int(n) != n:
-        raise ValueError(f"arm count must be a positive integer, got {n!r}")
+    core.check_arms(n)
     if not math.isfinite(q):
         raise ValueError(f"twist must be a finite number, got q={q!r}")
     if q <= 0.0:
@@ -118,7 +115,7 @@ def kappa_asym(n, q, cn=None):
     mu = mu_bar(n, cn)
     log_kappa = math.log(2.0) - math.log(q) - cn / (n * n) \
         - EULER_GAMMA - math.pi / (2.0 * n * q)
-    under = log_kappa < _LOG_UNDERFLOW
+    under = log_kappa < -specfun.UNDERFLOW_WALL
     value = 0.0 if under else math.exp(log_kappa)
     return SelectedWavenumber(n=n, q=q, log_value=log_kappa, value=value,
                               underflowed=under, mu=mu, cn=cn)

@@ -107,7 +107,7 @@ def test_05_algebraic_identities():
             rng.uniform(-1, 1)
         v, dv = rng.uniform(-1, 1), rng.uniform(-1, 1)
         res_f, res_v = solver.system_residual(
-            r, f, df, ddf, v, dv, solver.SpiralParams(n=1, q=0.37, k=0.11))
+            r, f, df, ddf, v, dv, 1, 0.37, 0.11)
         glo_f, glo_chi = solver.lambda_omega_residual(
             r, f, df, ddf, v, dv, lam, om, 0.37 * (1 - 0.11 ** 2), n=1)
         worst = max(worst, abs(res_f - glo_f), abs(res_v - glo_chi))

@@ -256,6 +256,24 @@ class TestOuterEval:
                          "--out-dir", str(tmp_path))
         assert rc == 1
         assert "wavenumber" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "0", "arm count must be a positive integer, got 0"),
+        ("--q", "0", "a twisted solution needs a nonzero twist"),
+        ("--k", "-0.1", "wavenumber must lie in (0, 1), got -0.1"),
+        ("--k", "0", "wavenumber must lie in (0, 1), got 0.0"),
+    ])
+    def test_spiral_outside_domain_is_domain_error(self, capsys, tmp_path,
+                                                   flag, value, message):
+        argv = {"--n": "1", "--q": "0.5", "--k": "0.09", flag: value}
+        rc, out, err = run(capsys, "outer-eval",
+                           *(tok for item in argv.items() for tok in item),
+                           "--r-grid", "40:400:3", "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert (out, err) == ("", f"cglspiral: {message}\n")
+        # neither the CSV nor the manifest
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInnerSolve:
@@ -291,6 +309,17 @@ class TestInnerSolve:
                            "1.0", "--out-dir", str(tmp_path))
         assert rc == 1
         assert "needs r_max > 1.15746" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("inner-solve", "--n", "1", "--r-max", "1e8"),
+        ("solve", "--n", "2", "--q", "0", "--r-max", "3e8"),
+    ])
+    def test_radius_where_tail_rounds_to_one_is_domain_error(
+            self, capsys, tmp_path, argv):
+        rc, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert rc == 1
+        assert "is too large" in err and "floor" not in err
         assert out == ""
 
 

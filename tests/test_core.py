@@ -227,6 +227,18 @@ def test_refuses_radius_below_tail_floor(n, r_max):
         core.solve_profile(n, r_max=r_max)
 
 
+@pytest.mark.parametrize("n, r_max", [(1, 1e8), (2, 3e8), (3, 3e8),
+                                      (1, 1e300)])
+def test_refuses_radius_where_tail_rounds_to_one(n, r_max):
+    # the tail's f = 1 - n^2/(2 r^2) - ... rounds to 1 from r_max ~ 9.49e7 n;
+    # such a radius is too large, not below the tail's floor
+    with pytest.raises(ValueError) as exc:
+        core.solve_profile(n, r_max=r_max)
+    assert str(exc.value) == (
+        f"r_max = {r_max!r} is too large: the algebraic tail's f rounds to 1 "
+        f"there, which pins no profile; n = {n} needs a smaller r_max")
+
+
 def test_refuses_nonpositive_rise_coefficient(monkeypatch):
     # a collocation that converges to c_f <= 0 has not found a profile
     real = core.solve_bvp

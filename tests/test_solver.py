@@ -62,8 +62,8 @@ def test_boundary_mismatch_small(base):
 def _assert_outer_mismatch(prof, rep):
     # the report's residuals are the endpoint's distance from the far field
     # at the matching radius; compared as text, so a zero keeps its sign
-    p = solver.SpiralParams(prof.n, prof.q, rep.k_numeric)
-    _, _, F0, v = outer.far_field(p.n, p.q, p.k, p.eps * prof.r_max)
+    n, q, k = prof.n, prof.q, rep.k_numeric
+    _, _, F0, v = outer.far_field(n, q, k, k * abs(q) * prof.r_max)
     assert str(rep.boundary_residuals) == str((float(prof.f[-1] - F0),
                                                float(prof.v[-1] - v)))
 
@@ -80,8 +80,10 @@ def test_mirrored_outer_mismatch_op_consistency(mirror):
 
 def test_prefactor_and_ratio_consistent(base):
     _, rep = base
-    params = solver.SpiralParams(rep.n, rep.q, rep.k_numeric)
-    assert rep.mu == params.mu
+    # mu = k |q| e^{pi/(2 n |q|)}, composed in log space
+    k, q = rep.k_numeric, rep.q
+    assert rep.mu == math.exp(math.log(k) + math.log(abs(q))
+                              + math.pi / (2.0 * rep.n * abs(q)))
     mu_ratio = rep.mu / wavenumber.mu_bar(1)
     assert mu_ratio == pytest.approx(rep.ratio, rel=1e-10)
 
@@ -180,8 +182,8 @@ def test_f_at_reads_the_full_interpolants_f_row(route, base, mirror):
     elif route == "q0":
         prof = solver.solve_spiral(1, 0.0)[0]
     else:
-        prof = solver.integrate_from_origin(
-            solver.SpiralParams(1, 0.5, base[1].k_numeric), base[0].c_f, 5.0)
+        prof = solver.integrate_from_origin(1, 0.5, base[1].k_numeric,
+                                            base[0].c_f, 5.0)
     inside = np.concatenate([
         prof.r_grid[:-1], [prof.r_start, np.nextafter(prof.r_max, -math.inf)],
         np.geomspace(prof.r_start, prof.r_max, 301)[1:-1]])
@@ -364,6 +366,28 @@ def test_refuses_radius_inside_series_cut(q, r_max):
         solver.solve_spiral(1, q, r_max=r_max)
 
 
+ARMS = "arm count must be a positive integer, got "
+CUT = "r_max must be finite and above the series cut core.R_START = 0.01, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: core.solve_profile(0), ARMS + "0"),
+    (lambda: core.solve_profile(1.5), ARMS + "1.5"),
+    (lambda: solver.solve_spiral(0, 0.5), ARMS + "0"),
+    (lambda: solver.solve_spiral(-2, 0.0), ARMS + "-2"),
+    (lambda: wavenumber.kappa_asym(2.5, 0.5), ARMS + "2.5"),
+    (lambda: core.solve_profile(1, r_max=1e-3), CUT + "0.001"),
+    (lambda: solver.solve_spiral(1, 0.5, r_max=math.inf), CUT + "inf"),
+    (lambda: solver.solve_spiral(1, 0.0, r_max=-3.0), CUT + "-3.0"),
+], ids=["profile-n", "profile-n-float", "spiral-n", "spiral-q0-n",
+        "kappa-n", "profile-r_max", "spiral-r_max", "spiral-q0-r_max"])
+def test_refusal_messages(call, message):
+    # each check has one home in core; its text is part of the interface
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def _slope_and_curvature(n, x, y, dy):
     # f' = z + a f from the rows (f, z, w), and f'' = z' + a' f + a f',
     # with a read off core.slope_from_z and a' by a complex step
@@ -374,7 +398,7 @@ def _slope_and_curvature(n, x, y, dy):
 
 
 def _assert_system_residual(prof):
-    params = solver.SpiralParams(prof.n, prof.q, prof.k)
+    params = prof.n, prof.q, prof.k
     # off-node points exercise the interpolant between collocation points
     x = np.geomspace(prof.r_start * 2, prof.r_max * 0.98, 4001)
     y = prof.interpolant(x)
@@ -383,7 +407,7 @@ def _assert_system_residual(prof):
     g, dg = _slope_and_curvature(prof.n, x, y, dy)
     v = w / (x * f * f)
     dv = dw / (x * f * f) - w * (f * f + 2 * x * f * g) / (x * f * f) ** 2
-    res_f, res_v = solver.system_residual(x, f, g, dg, v, dv, params)
+    res_f, res_v = solver.system_residual(x, f, g, dg, v, dv, *params)
     assert np.max(np.abs(res_f)) < 1e-7
     assert np.max(np.abs(res_v)) < 1e-7
     # at the solver's own nodes the collocation conditions are exact
@@ -394,7 +418,7 @@ def _assert_system_residual(prof):
     vn = yn[2] / (xn * yn[0] ** 2)
     dvn = dyn[2] / (xn * yn[0] ** 2) \
         - yn[2] * (yn[0] ** 2 + 2 * xn * yn[0] * gn) / (xn * yn[0] ** 2) ** 2
-    rf, rv = solver.system_residual(xn, yn[0], gn, dgn, vn, dvn, params)
+    rf, rv = solver.system_residual(xn, yn[0], gn, dgn, vn, dvn, *params)
     assert np.max(np.abs(rf)) < 1e-11
     assert np.max(np.abs(rv)) < 1e-11
 
@@ -425,9 +449,8 @@ def test_lambda_omega_specialization_identity():
     Om = rng.uniform(-2.0, 2.0, N)
     worst = 0.0
     for i in range(N):
-        params = solver.SpiralParams(1, q[i], k[i])
         a1, b1 = solver.system_residual(r[i], f[i], df[i], ddf[i], v[i],
-                                        dv[i], params)
+                                        dv[i], 1, q[i], k[i])
         lam, om = solver.cgl_lambda_omega(q[i], k[i], Om[i])
         a2, b2 = solver.lambda_omega_residual(r[i], f[i], df[i], ddf[i],
                                               v[i], dv[i], lam, om, Om[i],
@@ -459,8 +482,7 @@ def test_residual_against_complex_field_route():
         df, ddf = rng.uniform(-1, 1), rng.uniform(-1, 1)
         v, dv = rng.uniform(-0.6, 0.6), rng.uniform(-1, 1)
         q, k = rng.uniform(-1, 1), rng.uniform(0, 0.9)
-        params = solver.SpiralParams(n, q, k)
-        res_f, res_v = solver.system_residual(r, f, df, ddf, v, dv, params)
+        res_f, res_v = solver.system_residual(r, f, df, ddf, v, dv, n, q, k)
         e = np.exp(1j * chi)
         B = f * e
         dB = (df + 1j * f * v) * e
@@ -474,8 +496,7 @@ def test_residual_against_complex_field_route():
 
 def test_integrate_from_origin_matches_collocation(base):
     prof, rep = base
-    params = solver.SpiralParams(1, 0.5, rep.k_numeric)
-    ivp = solver.integrate_from_origin(params, prof.c_f, 12.0)
+    ivp = solver.integrate_from_origin(1, 0.5, rep.k_numeric, prof.c_f, 12.0)
     assert not ivp.escaped
     gap = np.max(np.abs(ivp.f - prof.f_at(ivp.r_grid)))
     # the growing mode amplifies rounding by ~e^{sqrt(2) r}; machine
@@ -489,8 +510,7 @@ def test_integrate_from_origin_reads_like_collocation(base):
     # the march fills the same (f, z, w) record as the collocation solve,
     # so its readers v_at and theta_of_r give the same phase
     prof, rep = base
-    params = solver.SpiralParams(1, 0.5, rep.k_numeric)
-    ivp = solver.integrate_from_origin(params, prof.c_f, 5.0)
+    ivp = solver.integrate_from_origin(1, 0.5, rep.k_numeric, prof.c_f, 5.0)
     r = np.linspace(0.5, 5.0, 91)
     assert np.max(np.abs(ivp.v_at(r) - prof.v_at(r))) < 1e-5
     theta_ivp = field.theta_of_r(ivp)(r)
@@ -501,27 +521,12 @@ def test_integrate_from_origin_reads_like_collocation(base):
 
 def test_integrate_from_origin_escape_diagnosis(base):
     prof, rep = base
-    params = solver.SpiralParams(1, 0.5, rep.k_numeric)
-    high = solver.integrate_from_origin(params, prof.c_f * 1.1, 30.0)
+    params = 1, 0.5, rep.k_numeric
+    high = solver.integrate_from_origin(*params, prof.c_f * 1.1, 30.0)
     assert high.escaped
     assert high.escape_radius < 30.0
     with pytest.raises(ValueError):
-        solver.integrate_from_origin(params, -0.5, 10.0)
-
-
-def test_spiral_params_validation():
-    with pytest.raises(ValueError):
-        solver.SpiralParams(0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        solver.SpiralParams(1, 0.5, 1.2)
-    p = solver.SpiralParams(2, -0.5, 0.1)
-    assert p.eps == pytest.approx(0.05)
-    assert p.nu == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="twist"):
-        solver.SpiralParams(1, 0.0, 0.1)
-    assert solver.SpiralParams is outer.SpiralParams
-    q = solver.SpiralParams(1, 0.5, 0.0936689780)
-    assert q.mu == pytest.approx(0.0936689780 * 0.5 * math.exp(math.pi), rel=1e-12)
+        solver.integrate_from_origin(*params, -0.5, 10.0)
 
 
 @pytest.mark.parametrize("n,q", [(2, 1.0), (1, 2.0)])

@@ -24,7 +24,8 @@ two explicit matching radii far past the automatic one, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
 n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, n = 1
 and 2 at 1e-12, the refusal of n = 2, q = 0.5 at r_max = 200 (a Newton
-iterate's k leaves (0, 1)), and the benchmark's unjittered 15-twist
+iterate's k leaves (0, 1)) and of n = 1, q = 0.5 at r_max = 0.001
+(inside the series cut), and the benchmark's unjittered 15-twist
 n = 1 sweep.  The other producers of the radial-profile record follow:
 the untwisted q = 0 solves, with the last value of their first integral
 and, at tol = 1e-12, their c_f (so a q = 0 solve that ignores its tol
@@ -43,7 +44,9 @@ digests of the stdout and the output files of fixed in-process
 ``cli.main`` runs of ``solve``, ``inner-solve``, ``sweep``, ``kappa``,
 ``physical``, ``field``, ``outer-eval`` and ``bessel-eval`` in a
 temporary directory; manifests are not hashed.  Each run passes only
-flags its subcommand reads, after the subcommand name.
+flags its subcommand reads, after the subcommand name.  Then come the
+exit code and the sha256 of the stderr of ``outer-eval`` runs that are
+refused for a zero arm count, a zero twist and k = 1.
 """
 
 import contextlib
@@ -64,7 +67,7 @@ SOLVES = [
     (3, 0.5, {"r_max": None}), (3, -0.5, {"r_max": None}),
     (1, 0.5, {"tol": 1e-11}),
     *((n, 0.5, {"tol": 1e-12}) for n in (1, 2)),
-    (2, 0.5, {"r_max": 200.0}),
+    (2, 0.5, {"r_max": 200.0}), (1, 0.5, {"r_max": 0.001}),
 ]
 # inside [R_START, r_max] of every negative twist above (r_max >= 15.2)
 MIRROR_RADII = np.geomspace(0.0123, 15.1, 97)
@@ -93,6 +96,15 @@ CLI_RUNS = [
     ["outer-eval", "--n", "1", "--q", "0.5", "--k", "0.09",
      "--r-grid", "40:400:8", "--quiet"],
     ["bessel-eval", "--nu", "0.1", "--x", "1.0"],
+]
+# refused at n = 0, q = 0 and k = 1
+CLI_REFUSALS = [
+    ["outer-eval", "--n", "0", "--q", "0.5", "--k", "0.09",
+     "--r-grid", "40:400:8"],
+    ["outer-eval", "--n", "1", "--q", "0", "--k", "0.09",
+     "--r-grid", "40:400:8"],
+    ["outer-eval", "--n", "1", "--q", "0.5", "--k", "1.0",
+     "--r-grid", "40:400:8"],
 ]
 
 
@@ -166,8 +178,8 @@ def main():
         _, report = solver.solve_spiral(n, 0.0, tol=1e-12)
         print(f"solve_spiral({n}, 0.0, tol=1e-12): c_f={report.c_f.hex()}")
     profile, report = solver.solve_spiral(1, 0.5)
-    march = solver.integrate_from_origin(
-        solver.SpiralParams(1, 0.5, report.k_numeric), profile.c_f, 5.0)
+    march = solver.integrate_from_origin(1, 0.5, report.k_numeric,
+                                         profile.c_f, 5.0)
     print("integrate_from_origin(1, 0.5, r_max=5.0): "
           f"integral[-1]={float(march.integral[-1]).hex()} "
           f"v[-1]={float(march.v[-1]).hex()}")
@@ -214,6 +226,13 @@ def main():
             if not path.name.endswith("_manifest.json"):
                 print(f"cli file {path.name}: "
                       f"sha256={_sha256(path.read_bytes())}")
+        for argv in CLI_REFUSALS:
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                rc = cli.main(argv + ["--out-dir", tmp])
+            print(f"cli {' '.join(argv[:7])}: rc={rc} "
+                  f"stderr sha256={_sha256(stderr.getvalue().encode())}")
 
 
 if __name__ == "__main__":
