@@ -2,10 +2,10 @@
 
 The amplitude f and phase slope v of an n-armed spiral satisfy a coupled
 system on (0, infinity) whose far field forces v -> -k for exactly one
-wavenumber k.  solve_spiral finds the profile and k together: one
-collocation Newton solve carries the core slope c_f and log k as unknown
-parameters next to the profile, with the far field as its outer boundary
-condition.
+wavenumber k.  solve_spiral finds the profile and k together: a coarse
+and a final collocation Newton solve at one matching radius carry the
+core slope c_f and log k as unknown parameters next to the profile, with
+the far field as their outer boundary condition.
 This script reports the full diagnostic record for n=1, q=0.5, checks
 the conserved first-integral identity on the returned mesh, and shows
 that flipping the sign of the twist just mirrors the phase.
@@ -20,7 +20,7 @@ profile, report = solve_spiral(1, 0.5)
 m_f, m_v = report.boundary_residuals
 print("n=1, q=0.5 twisted spiral")
 print(f"  selected wavenumber k : {report.k_numeric:.12f}")
-print(f"  mesh passes           : {report.newton_iterations}")
+print(f"  mesh passes (2 calls) : {report.newton_iterations}")
 print(f"  collocation residual  : {report.residual:.2e}")
 print(f"  core slope c_f        : {report.c_f:.12f}")
 print(f"  domain                : [{profile.r_grid[0]:g}, {profile.r_grid[-1]:.1f}]"

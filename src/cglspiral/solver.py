@@ -17,7 +17,12 @@ collocation scheme (scipy's solve_bvp) carries (c_f, log k) as unknown
 parameters; log k because k spans many orders of magnitude across a
 twist sweep.  Newton runs on the exact Jacobians of the equations and
 boundary conditions (:func:`_rhs_jac`, :func:`_boundary`), never on
-difference estimates.  Plain origin shooting is kept as a diagnostic
+difference estimates.  The solve is two solve_bvp calls at one r_max
+(:func:`_collocation_solve`): a coarse call at TOL_COARSE from N_MESH
+geometric nodes, which pays for Newton's cold start, and a final call at
+the solve's tol from the coarse solution, on the coarse mesh with each
+interval split as its residual calls for (:func:`_equidistribute`).
+Plain origin shooting is kept as a diagnostic
 (:func:`integrate_from_origin`) but cannot reach the far boundary at
 tolerance: the growing mode amplifies initial rounding by e^{sqrt(2) r}.
 
@@ -44,8 +49,10 @@ __all__ = [
     "wavenumber_sweep",
 ]
 
-# initial collocation mesh of the twisted solve
-N_MESH = 1400
+# initial collocation mesh of the twisted solve's coarse call
+N_MESH = 400
+# tolerance of the coarse call, whose residuals place the final mesh
+TOL_COARSE = 1e-6
 # largest matching radius a cold solve may ask for
 MAX_DOMAIN = 1e5
 # k|q|*r_max at the seed k; the truncation error of matching at r_max
@@ -134,8 +141,9 @@ class RadialProfile:
 class WavenumberReport:
     """Outcome of one full solve, with the asymptotic comparison.
 
-    ``newton_iterations`` is solve_bvp's ``niter``, its mesh passes.  The
-    outcome fields default to a failed solve's: NaN, and 0 passes.
+    ``newton_iterations`` is the sum of solve_bvp's ``niter`` over the
+    coarse and the final call, their mesh passes.  The outcome fields
+    default to a failed solve's: NaN, and 0 passes.
     """
 
     n: int
@@ -318,8 +326,29 @@ def _boundary(n, q, r_max):
     return bc, bc_jac
 
 
+def _parts(rms, tol):
+    """ceil(cbrt(2 rms / tol)), at least 1: the residual falls like h^3, so
+    an interval at rms split into that many equal parts aims at tol/2."""
+    return np.maximum(np.ceil(np.cbrt(2.0 * rms / tol)), 1.0).astype(np.intp)
+
+
+def _equidistribute(x, rms, tol):
+    """The nodes x with interval i split into _parts(rms_i, tol) equal
+    parts; every node of x is kept."""
+    m = _parts(rms, tol)
+    j = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    return np.append(np.repeat(x[:-1], m) + j * np.repeat(np.diff(x) / m, m),
+                     x[-1])
+
+
 def _collocation_solve(n, q, k0, r_max, tol):
-    """solve_bvp's result and bc at q > 0, from the core rows and seed k0."""
+    """solve_bvp's result, bc and the mesh passes of both calls at q > 0.
+
+    A coarse call at TOL_COARSE from the core rows and seed k0 places the
+    mesh; the final call solves once at tol on its equidistributed nodes,
+    from the coarse solution and parameters.  At tol >= TOL_COARSE the
+    coarse call, at tol, is the only one.
+    """
     bc, bc_jac = _boundary(n, q, r_max)
     r = np.geomspace(core.R_START, r_max, N_MESH)
     prof0 = core.solve_profile(n)
@@ -328,12 +357,25 @@ def _collocation_solve(n, q, k0, r_max, tol):
     v0 = -k0 * r / np.sqrt(r * r + rb * rb)
     y = np.vstack([f0, core.z_from_slope(n, r, f0, prof0.df(r)),
                    r * f0 * f0 * v0])
-    sol = solve_bvp(lambda r, y, p: _rhs(n, q, _wavenumber(p), r, y), bc,
-                    r, y, p=[prof0.c_f, math.log(k0)], tol=tol,
-                    fun_jac=lambda r, y, p: _rhs_jac(n, q, _wavenumber(p),
-                                                     r, y),
-                    bc_jac=bc_jac, max_nodes=core.MAX_NODES, verbose=0)
-    return sol, bc
+    p = [prof0.c_f, math.log(k0)]
+    niter, max_nodes = 0, core.MAX_NODES
+    for call_tol in (max(tol, TOL_COARSE), tol):
+        sol = solve_bvp(lambda r, y, p: _rhs(n, q, _wavenumber(p), r, y), bc,
+                        r, y, p=p, tol=call_tol,
+                        fun_jac=lambda r, y, p: _rhs_jac(n, q, _wavenumber(p),
+                                                         r, y),
+                        bc_jac=bc_jac, max_nodes=max_nodes, verbose=0)
+        niter += sol.niter
+        if sol.status or call_tol == tol:
+            break
+        r = _equidistribute(sol.x, sol.rms_residuals, tol)
+        y, p = sol.sol(r), sol.p
+        # past the mesh that splits every coarse interval as one at
+        # TOL_COARSE would be, the coarse solution did not describe the
+        # solve: the final call fails there, not at the node budget
+        max_nodes = min((sol.x.size - 1) * _parts(TOL_COARSE, tol) + 1,
+                        core.MAX_NODES)
+    return sol, bc, niter
 
 
 def _check_properties(profile, report):
@@ -420,7 +462,7 @@ def solve_spiral(n, q, k_init=None, tol=1e-10, r_max=None):
             f"(log k = {math.log(k0):.2f}), beyond the domain budget "
             f"MAX_DOMAIN = {MAX_DOMAIN:.3g}")
     try:
-        sol, bc = _collocation_solve(n, abs(q), k0, r_match, tol)
+        sol, bc, niter = _collocation_solve(n, abs(q), k0, r_match, tol)
         if sol.status:
             raise ValueError(sol.message)
     except ValueError as exc:
@@ -440,7 +482,7 @@ def solve_spiral(n, q, k_init=None, tol=1e-10, r_max=None):
         n=n, q=q, k_numeric=k, k_asymptotic=ka.value,
         ratio=k / ka.value if ka.value > 0 else math.inf,
         boundary_residuals=(float(res_f), float(res_v)),
-        newton_iterations=int(sol.niter),
+        newton_iterations=int(niter),
         residual=float(np.max(sol.rms_residuals)), r_max=profile.r_max,
         mu=math.exp(log_mu) if log_mu < 709.0 else math.inf,
         c_f=profile.c_f)

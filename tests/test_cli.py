@@ -457,14 +457,17 @@ class TestSolveAndSweep:
 
     @pytest.mark.parametrize("q", ["0.5", "-0.5"])
     def test_failed_collocation_exits_two(self, capsys, tmp_path, q):
-        # a Newton iterate's k leaves (0, 1) at this radius; the error names
-        # the twist with its sign and the runaway log k
+        # the coarse call converges at this radius, and the final call's
+        # first Newton step leaves the far field's domain; the error names
+        # the twist with its sign and the far field's reason
         rc, out, err = run(capsys, "solve", "--n", "2", f"--q={q}",
                            "--r-max", "200", "--out-dir", str(tmp_path))
         assert rc == 2
-        assert err.startswith("cglspiral: did not converge: collocation "
-                              f"failed at n=2, q={q} (r_max=200): ")
-        assert "left k in (0, 1): log k = " in err
+        assert err == ("cglspiral: did not converge: collocation failed at "
+                       f"n=2, q={q} (r_max=200): stretched radius "
+                       "0.00012876039065877728 is below the oscillation "
+                       "floor 4.158e-01 for nu=1.0; the decaying slope is "
+                       "not single-signed there\n")
         assert out == ""
         assert not (tmp_path / "solve_report.json").exists()
 

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -99,21 +100,73 @@ def test_cold_solve_matches_at_or_past_target(n, q):
     assert rep.k_numeric * abs(q) * rep.r_max >= solver.R_MATCH_TARGET
 
 
+def _spy_solve_bvp(monkeypatch):
+    """Record [x, p, result] of each solve_bvp call the solver makes; the
+    result stays None if the call raises."""
+    real, calls = solver.solve_bvp, []
+
+    def spy(fun, bc, x, y, p, **kwargs):
+        calls.append([x, np.asarray(p), None])
+        calls[-1][2] = real(fun, bc, x, y, p, **kwargs)
+        return calls[-1][2]
+
+    monkeypatch.setattr(solver, "solve_bvp", spy)
+    return calls
+
+
 @pytest.mark.parametrize("n,q", [(2, 0.5), (1, 1.0)])
 def test_one_collocation_solve_per_twist(monkeypatch, n, q):
     # both converge at R > 2, where a retry once threw the solve away and
-    # solved again at R = 1.6, further from the converged k
+    # solved again at R = 1.6, further from the converged k: the coarse
+    # and the final call share one r_max, and the final call starts from
+    # the coarse call's parameters
     core.solve_profile(n)
-    real, calls = solver.solve_bvp, []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve_bvp", spy)
+    calls = _spy_solve_bvp(monkeypatch)
     _, rep = solver.solve_spiral(n, q)
     assert rep.status == 0
-    assert len(calls) == 1
+    assert len(calls) == 2
+    assert len({x[-1] for x, _, _ in calls}) == 1
+    assert calls[0][0][-1] == rep.r_max
+    assert np.array_equal(calls[-1][1], calls[0][2].p)
+    assert rep.newton_iterations == sum(sol.niter for _, _, sol in calls)
+
+
+def test_equidistribute_splits_each_interval():
+    x = np.array([1.0, 2.0, 4.0, 4.5, 10.0])
+    tol = 1e-10
+    # cbrt(2 rms / tol) = 0 (one part), 2, 2.5 (three parts) and 28 - 1e-9
+    rms = np.array([0.0, 4e-10, 7.8125e-10, 0.5 * (28.0 - 1e-9) ** 3 * tol])
+    r = solver._equidistribute(x, rms, tol)
+    assert np.all(np.diff(r) > 0.0)
+    assert np.isin(x, r).all()
+    parts = np.diff(np.searchsorted(r, x))
+    assert parts.tolist() == [1, 2, 3, 28]
+    # each interval is split into equal parts
+    for a, b, m in zip(x, x[1:], parts):
+        inside = r[(r >= a) & (r <= b)]
+        np.testing.assert_allclose(np.diff(inside), (b - a) / m, rtol=1e-12)
+    # a coarse call converged at TOL_COARSE splits no interval further
+    worst = np.full(x.size - 1, solver.TOL_COARSE)
+    assert solver._equidistribute(x, worst, 1e-10).size == 4 * 28 + 1
+
+
+@pytest.mark.parametrize("n,q", [(2, 0.5), (2, 0.4), (2, 0.35), (2, 0.3),
+                                 (2, 0.28), (1, 0.5), (1, 1.0)])
+def test_final_call_takes_one_mesh_pass(monkeypatch, n, q):
+    # the mesh placed from the coarse residuals meets tol at once
+    calls = _spy_solve_bvp(monkeypatch)
+    _, rep = solver.solve_spiral(n, q)
+    assert rep.status == 0
+    assert len(calls) == 2 and calls[-1][2].niter == 1
+    assert calls[0][1][0] == core.solve_profile(n).c_f
+    assert calls[0][0].size == solver.N_MESH
+
+
+def test_coarse_tolerance_is_the_only_call_at_or_above_it(monkeypatch):
+    calls = _spy_solve_bvp(monkeypatch)
+    _, rep = solver.solve_spiral(1, 0.5, tol=solver.TOL_COARSE)
+    assert len(calls) == 1 and rep.status == 0
+    assert rep.newton_iterations == calls[0][2].niter
 
 
 @pytest.mark.parametrize("n,q", [(3, 0.5), (2, 0.5), (1, 1.0)])
@@ -355,6 +408,40 @@ def test_newton_iterate_outside_unit_k_fails_cleanly():
     _, rep = solver.solve_spiral(2, 0.5)
     with pytest.raises(RuntimeError, match=r"left k in \(0, 1\): log k = "):
         solver.solve_spiral(2, 0.5, k_init=rep.k_numeric, r_max=200.0)
+
+
+@pytest.mark.parametrize("k_init", [None, "converged"])
+def test_failures_at_r_max_200_fail_fast(monkeypatch, k_init):
+    # n = 2, q = 0.5 fails at r_max = 200 cold and from its own k: fast,
+    # with the coarse call on fewer than 1,000 nodes and the final call
+    # handed no more than its equidistributed mesh
+    if k_init == "converged":
+        k_init = solver.solve_spiral(2, 0.5)[1].k_numeric
+    calls = _spy_solve_bvp(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"\(r_max=200\): "):
+        solver.solve_spiral(2, 0.5, k_init=k_init, r_max=200.0)
+    assert time.perf_counter() - start < 1.0
+    (x, _, coarse), (final_x, _, final) = calls
+    assert x.size == solver.N_MESH and coarse.x.size < 1000
+    assert final is None
+    assert final_x.size <= (coarse.x.size - 1) * solver._parts(
+        solver.TOL_COARSE, 1e-10) + 1
+
+
+def test_final_call_stops_short_of_the_node_budget(monkeypatch):
+    # at r_max = 160 the coarse call converges, and the final call's mesh
+    # grows near r_max without converging: it stops at the mesh that splits
+    # every coarse interval as one at TOL_COARSE, not at core.MAX_NODES
+    calls = _spy_solve_bvp(monkeypatch)
+    k = solver.solve_spiral(2, 0.5)[1].k_numeric
+    calls.clear()
+    with pytest.raises(RuntimeError, match="maximum number of mesh nodes"):
+        solver.solve_spiral(2, 0.5, k_init=k, r_max=160.0)
+    (_, _, coarse), (_, _, final) = calls
+    assert coarse.status == 0 and final.status == 1
+    cap = (coarse.x.size - 1) * solver._parts(solver.TOL_COARSE, 1e-10) + 1
+    assert final.x.size <= cap < core.MAX_NODES
 
 
 @pytest.mark.parametrize("q", [0.5, 0.0])
@@ -690,14 +777,24 @@ def test_one_jacobian_per_mesh_pass(monkeypatch):
         assert 0 < jacobians <= passes
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_converges_at_tolerance_1e12(n):
-    # n = 1 once stopped on the node budget after about 8 s; n = 3 still
-    # does (README, "Solver limits")
+    # n = 1 and 3 once stopped on the node budget, after about 8 and 11 s
     _, ref = solver.solve_spiral(n, 0.5)
     _, rep = solver.solve_spiral(n, 0.5, tol=1e-12)
     assert rep.status == 0 and not rep.properties["suspect"]
     assert rep.k_numeric == pytest.approx(ref.k_numeric, rel=1e-10)
+
+
+def test_k_matches_tight_tolerance_at_the_same_r_max():
+    # the final mesh is placed from a coarse solve's residuals; k stays
+    # within 1e-9 of the tol = 1e-12 solve at the same matching radius
+    for n in (1, 2, 3):
+        for q in (0.3, 0.5, 0.7, 1.0):
+            _, rep = solver.solve_spiral(n, q)
+            _, ref = solver.solve_spiral(n, q, tol=1e-12, r_max=rep.r_max)
+            assert ref.status == 0, (n, q)
+            assert abs(rep.k_numeric / ref.k_numeric - 1.0) <= 1e-9, (n, q)
 
 
 def test_phase_gradient_continuous_at_series_cut(base):

@@ -6,9 +6,9 @@ n = 1, 2, 3, with c_f and the tail constant as ``float.hex`` and the
 collocation node count.  Then one line per twisted case: the case, k and
 the matching radius r_max as ``float.hex``, the collocation mesh node
 count and the report's ``newton_iterations`` (or the error a refused case
-raises).  That count is solve_bvp's ``niter``, the number of
-mesh-refinement passes of the twist's one collocation solve, not of
-Newton steps.  Each case at q < 0 adds a ``mirror`` line with v[-1] and
+raises).  That count is the sum of solve_bvp's ``niter`` over the
+twist's coarse and final collocation calls, their mesh-refinement
+passes, not Newton steps.  Each case at q < 0 adds a ``mirror`` line with v[-1] and
 the report's v boundary residual as ``float.hex`` and the sha256 of
 ``interpolant(x)`` and ``interpolant(x, 1)`` at fixed off-node radii x,
 so a sign slip in w, v or the interpolant of a negative twist shows.
@@ -22,9 +22,10 @@ a refactor that claims bit-identity is checked with
 The cases are cold n = 1 solves across both signs of q and past q = 1,
 two explicit matching radii far past the automatic one, the cold
 n = 2 twists of the benchmark's ``cold_n2`` workload with their mirrors,
-n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, n = 1
-and 2 at 1e-12, the refusal of n = 2, q = 0.5 at r_max = 200 (a Newton
-iterate's k leaves (0, 1)) and of n = 1, q = 0.5 at r_max = 0.001
+n = 3 at q = +-0.5, an n = 1 solve at the tight tolerance 1e-11, n = 1,
+2 and 3 at 1e-12, the refusal of n = 2, q = 0.5 at r_max = 200 (the
+final call's first step leaves the far field's domain) and of n = 1,
+q = 0.5 at r_max = 0.001
 (inside the series cut), and the benchmark's unjittered 15-twist
 n = 1 sweep.  The other producers of the radial-profile record follow:
 the untwisted q = 0 solves, with the last value of their first integral
@@ -66,7 +67,7 @@ SOLVES = [
       for s in (1, -1)),
     (3, 0.5, {"r_max": None}), (3, -0.5, {"r_max": None}),
     (1, 0.5, {"tol": 1e-11}),
-    *((n, 0.5, {"tol": 1e-12}) for n in (1, 2)),
+    *((n, 0.5, {"tol": 1e-12}) for n in (1, 2, 3)),
     (2, 0.5, {"r_max": 200.0}), (1, 0.5, {"r_max": 0.001}),
 ]
 # inside [R_START, r_max] of every negative twist above (r_max >= 15.2)
