@@ -29,7 +29,7 @@ for r in (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
 print()
 print("first-moment growth (the n^2 log r divergence the tail constant strips):")
 for r in (10.0, 50.0, 200.0):
-    i1, _ = prof.moments(r)
+    i1 = prof.i1(r)
     print(f"  I1({r:6.1f}) = {i1:12.8f}   I1 - n^2 log r = "
           f"{i1 - n * n * np.log(r):12.8f}")
 print("the r -> inf limit of the right column, after an O(1/r^2) tail")

@@ -11,10 +11,6 @@ law lives in log scale; this script shows the numbers, the log-scale
 guard, and the transcendental matching root that produces mu_bar.
 """
 
-import math
-
-import numpy as np
-
 from cglspiral import wavenumber
 
 n = 1
@@ -29,12 +25,6 @@ for q in (0.8, 0.5, 0.3, 0.1, 0.05, 0.01, 0.002):
           f"{str(kap.underflowed):>11}")
 print("(at q = 0.002 the value is ~e^-779: representable only as its log)")
 
-print()
-print("matching geometry: the inner/outer handover radius r0 = e^(rho/q)/sqrt(2)")
-print(f"{'q':>6}  {'rho':>8}  {'log r0':>9}  {'exponent ratio':>14}")
-for q in (0.5, 0.2, 0.05):
-    g = wavenumber.matching_geometry(n, q)
-    print(f"{q:6.2f}  {g.rho:8.4f}  {g.log_r0:9.3f}  {g.alpha_measured:14.6f}")
 
 print()
 print("the finite-q matching root vs the asymptotic prefactor:")

@@ -16,11 +16,11 @@ outer
     radius, validity floors.
 core
     The untwisted radial amplitude f0 (boundary value solve), its rise
-    coefficient, moments, and the log-subtracted tail constant.
+    coefficient, moment I1, and the log-subtracted tail constant.
 wavenumber
     The selection law kappa(q) = (2/q) e^{-C_n/n^2 - gamma_E}
-    e^{-pi/(2 n q)} in log-scale arithmetic, matching geometry, and the
-    root-level matching residual.
+    e^{-pi/(2 n q)} in log-scale arithmetic and the root-level matching
+    residual.
 solver
     The twisted two-point boundary value problem: profile f, phase
     gradient v, and the selected wavenumber k(n, q), plus sweeps.

@@ -215,14 +215,6 @@ def _cmd_kappa(args):
     kap = wavenumber.kappa_asym(n, args.q, cn=cn)
     doc = {"kappa": kap.value, "log_kappa": kap.log_value,
            "mu_bar": wavenumber.mu_bar(n, cn=cn), "underflowed": kap.underflowed}
-    try:
-        geom = wavenumber.matching_geometry(n, args.q, cn=cn)
-        doc.update(rho=geom.rho, log_r0=geom.log_r0,
-                   alpha=geom.alpha_measured, alpha_design=geom.alpha_design)
-    except ValueError:
-        # the matching window degenerates for q >= 1; the formula value
-        # is still reported
-        doc.update(rho=None, log_r0=None, alpha=None, alpha_design=None)
     _write_manifest(args, [], cn_resolved=cn)
     _emit(doc)
     return 0

@@ -11,12 +11,12 @@ algebraically, 1 - f^2 = n^2/r^2 + 2 n^2/r^4 + O(r^-6).  The slow phase
 gradient carried by the profile follows from integrating the angular-flux
 balance once:
 
-    r f^2 v = -q  int_0^r  xi f^2 (1 - f^2 - k^2) dxi,
+    r f^2 v = -q  int_0^r  xi f^2 (1 - f^2 - k^2) dxi.
 
-so v is recovered from two cumulative moments I1 = int xi f^2 (1 - f^2)
-and I2 = int xi f^2.  I1 grows like n^2 log r + (constant); that constant,
-extracted with its algebraic tail subtracted, is what the wavenumber
-selection formula consumes.
+At k = 0 the untwisted profile carries the one cumulative moment
+I1 = int xi f^2 (1 - f^2) as a collocated row.  I1 grows like
+n^2 log r + (constant); that constant, extracted with its algebraic tail
+subtracted, is what the wavenumber selection formula consumes.
 
 Everything here is solved by collocation (scipy solve_bvp) with the
 origin behavior imposed through the exact power-series boundary condition
@@ -37,17 +37,16 @@ module knows the lift and the series start (:func:`series_start`).
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_bvp, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.integrate import solve_bvp
 
 __all__ = [
     "CoreProfile", "TailConstant", "core_series", "series_moment",
     "series_start", "amplitude_rows", "amplitude_jac", "slope_from_z",
     "z_from_slope", "origin_slope", "origin_law", "piecewise", "far_profile",
-    "solve_profile", "v_inner", "tail_constant", "property_scan",
+    "solve_profile", "tail_constant",
 ]
 
 # series cut: every collocation solve enters the origin through
@@ -74,8 +73,9 @@ def check_tol(tol):
 
 
 def check_arms(n):
-    """Refuse an arm count that is not a positive integer."""
-    if n < 1 or int(n) != n:
+    """Refuse an arm count that is not a positive integer; a non-finite
+    one is refused before it reaches int()."""
+    if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"arm count must be a positive integer, got {n!r}")
 
 
@@ -256,7 +256,7 @@ def amplitude_jac(n, r, f, v2=0.0):
 
 @dataclass(frozen=True, eq=False)
 class CoreProfile:
-    """Solved core profile with its cumulative moments.
+    """Solved core profile with its cumulative moment I1.
 
     f and f' are piecewise: the power series below the collocation cut,
     the collocation spline on [r_start, r_max], the algebraic tail beyond.
@@ -272,19 +272,6 @@ class CoreProfile:
     bc_residual: float
     rms_residual: float
     n_nodes: int
-
-    @cached_property
-    def _i2_spline(self):
-        # the pure-amplitude moment is not worth a collocation state (it
-        # destabilizes mesh refinement for n >= 2); composite quadrature
-        # over the solved spline delivers it far beyond the k^2-correction
-        # accuracy it is used at
-        grid = np.geomspace(self.r_start, self.r_max, 30001)
-        f = self.sol(grid)[0]
-        vals = cumulative_simpson(grid * f * f, x=grid, initial=0.0)
-        # the head of int xi f^2 alone: no f^4 term
-        vals += self.c_f ** 2 * _moment_heads(self.n, self.r_start)[0]
-        return CubicSpline(grid, vals)
 
     def _inside(self, r):
         f, z = self.sol(r)[:2]
@@ -303,19 +290,17 @@ class CoreProfile:
         return self._piece(r, 1)
 
     def i1(self, r):
-        """Cumulative moment I1 of xi f^2 (1-f^2), read only on the solved
-        range [r_start, r_max], without building the I2 quadrature."""
+        """Cumulative moment I1 of xi f^2 (1-f^2), the collocated row,
+        read only on the solved range [r_start, r_max]."""
         rr = np.asarray(r, dtype=float)
-        if np.any(rr < self.r_start) or np.any(rr > self.r_max):
-            raise ValueError("moments must be read inside the solved range")
+        outside = (rr < self.r_start) | (rr > self.r_max)
+        if np.any(outside):
+            raise ValueError(
+                f"I1 is read only inside the solved range [r_start, r_max] = "
+                f"[{self.r_start!r}, {self.r_max!r}], got r = "
+                f"{float(rr[outside].flat[0])!r}")
         i1 = self.sol(rr)[2]
         return float(i1) if np.isscalar(r) else i1
-
-    def moments(self, r):
-        """Cumulative moments (I1, I2) of xi f^2 (1-f^2) and xi f^2,
-        read only on the solved range [r_start, r_max]."""
-        i1, i2 = self.i1(r), self._i2_spline(np.asarray(r, dtype=float))
-        return (i1, float(i2)) if np.isscalar(r) else (i1, i2)
 
 
 @lru_cache(maxsize=32)
@@ -401,23 +386,6 @@ def solve_profile(n, r_max=400.0, tol=1e-11, n_mesh=900):
     )
 
 
-def v_inner(profile, q, k, r):
-    """Slow phase gradient induced by the core profile.
-
-    v(r) = -q (I1(r) - k^2 I2(r)) / (r f^2), from the once-integrated
-    angular-flux balance; below the cut it follows :func:`origin_law`,
-    and past r_max the moments refuse to be read.
-    """
-    def from_moments(x):
-        i1, i2 = profile.moments(x)
-        fx = profile.f(x)
-        return -q * (i1 - k * k * i2) / (x * fx * fx)
-
-    return piecewise(r, profile.r_start, math.inf,
-                     lambda x: origin_law(profile.n, q, k, profile.c_f, x),
-                     from_moments, None)
-
-
 @dataclass(frozen=True)
 class TailConstant:
     """The log-subtracted limit of I1 and its convergence diagnostics."""
@@ -448,71 +416,3 @@ def tail_constant(profile, r_eval=None):
     gap = abs(value - est(0.5 * r_eval))
     return TailConstant(n=profile.n, c_f=profile.c_f, value=value,
                         r_eval=float(r_eval), halving_gap=gap)
-
-
-def v_inner_by_ode(profile, q, k, r_grid):
-    """Same slow phase gradient, by direct integration of its own equation.
-
-    f v' + (f/r + 2 f') v + q f (1 - f^2 - k^2) = 0, started from the
-    origin law at the collocation cut (its truncation error decays
-    outward like r^-(2n+1)); exists as an independent cross-check
-    of :func:`v_inner`, never as the production route.
-    """
-    n = profile.n
-    r_grid = np.asarray(r_grid, dtype=float)
-    r0 = profile.r_start
-    if r_grid[0] < r0:
-        raise ValueError("cross-check grid must start at or above the cut")
-    v0 = origin_law(n, q, k, profile.c_f, r0)
-
-    def rhs(r, y):
-        f = profile.f(r)
-        df = profile.df(r)
-        return [-y[0] * (1.0 / r + 2.0 * df / f) - q * (1.0 - f * f - k * k)]
-
-    out = solve_ivp(rhs, (r0, float(r_grid[-1])), [v0], t_eval=r_grid,
-                    rtol=1e-11, atol=1e-13, method="DOP853")
-    if not out.success:
-        raise RuntimeError(f"phase-gradient integration failed: {out.message}")
-    return out.y[0]
-
-
-def property_scan(profile):
-    """Measure the structural properties the profile is supposed to have.
-
-    Returns a dict with: strict monotonicity and range of f; the measured
-    r^4 coefficient of 1 - f^2 - n^2/r^2 at r_max/2 and r_max/4 (should
-    be 2 n^2); the measured r^3 df coefficient at r_max/2 (should be
-    n^2); the phase-gradient slope v/r read from the collocated moments
-    at 2 r_start, against :func:`origin_law` there (at q = 1, k = 0,
-    whose leading slope is -1/(2n+2)); and the fitted
-    envelope constant of |v| / (q (1 + log(1+r^2)) / (1+r)).
-    """
-    n = profile.n
-    n2 = float(n * n)
-    r_probe = 0.5 * profile.r_max
-    grid = np.geomspace(profile.r_start, profile.r_max, 4000)
-    fvals = profile.f(grid)
-    dfvals = profile.df(grid)
-
-    def r4_coeff(r):
-        f = profile.f(r)
-        return (1.0 - f * f - n2 / (r * r)) * r ** 4
-
-    r_lin = 2.0 * profile.r_start
-    slope = v_inner(profile, 1.0, 0.0, r_lin) / r_lin
-    vgrid = np.abs(v_inner(profile, 1.0, 0.0, grid))
-    envelope = (1.0 + np.log1p(grid * grid)) / (1.0 + grid)
-    return {
-        "monotone": bool(np.all(dfvals > 0.0)),
-        "in_range": bool(np.all((fvals > 0.0) & (fvals < 1.0))),
-        "r4_coeff": float(r4_coeff(r_probe)),
-        "r4_coeff_half": float(r4_coeff(0.5 * r_probe)),
-        "r4_expected": 2.0 * n2,
-        "df_r3_coeff": float(profile.df(r_probe) * r_probe ** 3),
-        "df_r3_expected": n2,
-        "origin_slope": float(slope),
-        "origin_slope_expected": float(
-            origin_law(n, 1.0, 0.0, profile.c_f, r_lin) / r_lin),
-        "v_envelope_constant": float(np.max(vgrid / envelope)),
-    }

@@ -178,6 +178,7 @@ def gamma_arg(k, nu):
     """
     if k < 0 or int(k) != k:
         raise ValueError(f"index must be a nonnegative integer, got {k!r}")
-    if nu < 0.0:
-        raise ValueError(f"order magnitude must be nonnegative, got nu={nu!r}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(
+            f"order magnitude must be nonnegative and finite, got nu={nu!r}")
     return float(loggamma(1.0 + int(k) + 1j * nu).imag)

@@ -51,10 +51,8 @@ from . import core, specfun
 EULER_GAMMA = specfun.EULER_GAMMA_F
 
 __all__ = [
-    "EULER_GAMMA", "SelectedWavenumber", "MatchingGeometry",
-    "matching_constant", "mu_bar",
-    "kappa_asym", "matching_geometry", "leading_matching_residual",
-    "solve_matching_mu",
+    "EULER_GAMMA", "SelectedWavenumber", "matching_constant", "mu_bar",
+    "kappa_asym", "leading_matching_residual", "solve_matching_mu",
 ]
 
 
@@ -119,43 +117,6 @@ def kappa_asym(n, q, cn=None):
     value = 0.0 if under else math.exp(log_kappa)
     return SelectedWavenumber(n=n, q=q, log_value=log_kappa, value=value,
                               underflowed=under, mu=mu, cn=cn)
-
-
-@dataclass(frozen=True)
-class MatchingGeometry:
-    """Where the core and far-field descriptions are glued together.
-
-    The matching radius r0 = e^{rho/q}/sqrt(2) with rho = (q/|log q|)^{1/3}
-    sits between the algebraic core tail and the first far-field
-    oscillation; in terms of the small parameter eps = kappa q it behaves
-    like eps^{-(1 - alpha)}.  Both the design exponent 1 - 2 n rho / pi
-    and the directly measured one are carried so their approach to each
-    other as q -> 0 can be verified.
-    """
-
-    n: int
-    q: float
-    rho: float
-    log_r0: float
-    r0: float
-    alpha_design: float
-    alpha_measured: float
-
-
-def matching_geometry(n, q, cn=None):
-    _check_nq(n, q)
-    if q >= 1.0:
-        raise ValueError(
-            f"matching geometry is meaningful for twist below 1, got q={q!r}")
-    rho = (q / abs(math.log(q))) ** (1.0 / 3.0)
-    log_r0 = rho / q - 0.5 * math.log(2.0)
-    r0 = math.exp(log_r0) if log_r0 < 709.0 else math.inf
-    log_eps = math.log(mu_bar(n, cn)) - math.pi / (2.0 * n * q)
-    alpha_design = 1.0 - 2.0 * n * rho / math.pi
-    alpha_measured = 1.0 - log_r0 / (-log_eps)
-    return MatchingGeometry(n=int(n), q=q, rho=rho, log_r0=log_r0, r0=r0,
-                            alpha_design=alpha_design,
-                            alpha_measured=alpha_measured)
 
 
 def leading_matching_residual(n, q, mu, cn=None):

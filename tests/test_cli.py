@@ -333,7 +333,6 @@ class TestKappa:
         assert doc["log_kappa"] == expect.log_value
         assert doc["kappa"] == expect.value
         assert 0 < doc["mu_bar"] < 1
-        assert doc["rho"] is not None
 
     def test_explicit_cn(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "kappa", "--n", "1", "--q", "0.5",
@@ -349,15 +348,15 @@ class TestKappa:
 
     def test_degenerate_matching_window_reports_nulls(self, capsys,
                                                       tmp_path):
-        # at q >= 1 the matching window degenerates: the formula value is
-        # still reported, the window's geometry as nulls
+        # the formula value is reported at q >= 1 too; the report carries
+        # no matching-window geometry at any twist
         rc, out, _ = run(capsys, "kappa", "--n", "1", "--q", "1.0",
                          "--out-dir", str(tmp_path))
         assert rc == 0
         doc = strict_json(out)
         assert doc["kappa"] == wavenumber.kappa_asym(1, 1.0).value
         for key in ("rho", "log_r0", "alpha", "alpha_design"):
-            assert key in doc and doc[key] is None, key
+            assert key not in doc, key
 
 
 class TestSolveAndSweep:

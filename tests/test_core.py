@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cglspiral import core
+from cglspiral import core, solver
 
 CF_FROZEN = {1: 0.583189495860, 2: 0.153099102860, 3: 0.026183420716}
 C_FROZEN = {1: -0.119118106318, 2: -4.237255816682, 3: -13.750790141263}
@@ -44,36 +44,43 @@ def test_boundary_residuals(profile):
 
 
 def test_monotone_and_bounded(profile):
-    scan = core.property_scan(profile)
-    assert scan["monotone"]
-    assert scan["in_range"]
+    g = np.geomspace(profile.r_start, profile.r_max, 4000)
+    f = profile.f(g)
+    assert np.all(profile.df(g) > 0.0)
+    assert np.all((f > 0.0) & (f < 1.0))
 
 
 def test_far_field_r4_coefficient(profile):
     # (1 - f^2 - n^2/r^2) r^4 -> 2 n^2, within 5% and stable when the
     # probe radius is halved
-    scan = core.property_scan(profile)
-    expect = scan["r4_expected"]
-    assert scan["r4_coeff"] == pytest.approx(expect, rel=0.05)
-    assert scan["r4_coeff_half"] == pytest.approx(expect, rel=0.05)
+    n2 = profile.n ** 2
+    for r in (0.5 * profile.r_max, 0.25 * profile.r_max):
+        f = profile.f(r)
+        assert (1.0 - f * f - n2 / (r * r)) * r ** 4 == pytest.approx(
+            2.0 * n2, rel=0.05)
 
 
 def test_far_field_slope(profile):
-    scan = core.property_scan(profile)
-    assert scan["df_r3_coeff"] == pytest.approx(scan["df_r3_expected"],
-                                                rel=0.01)
+    r = 0.5 * profile.r_max
+    assert profile.df(r) * r ** 3 == pytest.approx(profile.n ** 2, rel=0.01)
 
 
 def test_origin_slope_of_phase_gradient(profile):
-    scan = core.property_scan(profile)
-    assert scan["origin_slope"] == pytest.approx(
-        scan["origin_slope_expected"], rel=1e-6)
+    # v = -q (I1 - k^2 I2) / (r f^2) at q = 1, k = 0, where I2 drops out,
+    # read from the collocated I1 just above the cut against the origin law
+    r = 2.0 * profile.r_start
+    f = profile.f(r)
+    law = core.origin_law(profile.n, 1.0, 0.0, profile.c_f, r)
+    assert -profile.i1(r) / (r * f * f) == pytest.approx(law, rel=1e-6)
 
 
 def test_phase_gradient_envelope(profile):
-    # |v| stays under const * (1 + log(1+r^2))/(1+r); the constant scales
-    # with the n^2 log-tail strength
-    const = core.property_scan(profile)["v_envelope_constant"]
+    # |v| at q = 1, k = 0 stays under const * (1 + log(1+r^2))/(1+r); the
+    # constant scales with the n^2 log-tail strength
+    g = np.geomspace(profile.r_start, profile.r_max, 4000)
+    f = profile.f(g)
+    v = -profile.i1(g) / (g * f * f)
+    const = np.max(np.abs(v) * (1.0 + g) / (1.0 + np.log1p(g * g)))
     assert 0.0 < const < profile.n ** 2
 
 
@@ -109,54 +116,8 @@ def test_moment_against_adaptive_quadrature(profile):
 
     ref, err = quad(integrand, profile.r_start, 10.0, limit=400,
                     epsabs=1e-13, epsrel=1e-12)
-    i1_hi, _ = profile.moments(10.0)
-    i1_lo, _ = profile.moments(profile.r_start)
-    assert i1_hi - i1_lo == pytest.approx(ref, abs=5e-9)
-
-
-def test_amplitude_moment_against_adaptive_quadrature(profile):
-    def integrand(r):
-        f = profile.f(r)
-        return r * f * f
-
-    ref, err = quad(integrand, profile.r_start, 50.0, limit=400,
-                    epsabs=1e-12, epsrel=1e-12)
-    _, i2_hi = profile.moments(50.0)
-    _, i2_lo = profile.moments(profile.r_start)
-    assert i2_hi - i2_lo == pytest.approx(ref, rel=1e-9)
-
-
-def test_phase_gradient_two_routes():
-    p = core.solve_profile(1)
-    rg = np.geomspace(0.5, 300.0, 40)
-    va = core.v_inner(p, 0.5, 0.06, rg)
-    vb = core.v_inner_by_ode(p, 0.5, 0.06, rg)
-    assert np.max(np.abs(va / vb - 1.0)) < 1e-8
-
-
-def test_phase_gradient_two_routes_multiarm():
-    p = core.solve_profile(2)
-    rg = np.geomspace(0.5, 200.0, 30)
-    va = core.v_inner(p, 0.3, 0.0, rg)
-    vb = core.v_inner_by_ode(p, 0.3, 0.0, rg)
-    assert np.max(np.abs(va / vb - 1.0)) < 1e-8
-
-
-def test_phase_gradient_ode_refuses_grid_below_cut():
-    p = core.solve_profile(1)
-    with pytest.raises(ValueError, match="must start at or above the cut"):
-        core.v_inner_by_ode(p, 0.5, 0.06, [0.5 * p.r_start, 1.0])
-
-
-def test_phase_gradient_negative_and_zero_at_origin():
-    # at zero spatial wavenumber the induced gradient is negative
-    # everywhere (the k^2 counter-term flips it only beyond r ~ n/k)
-    p = core.solve_profile(1)
-    assert core.v_inner(p, 0.5, 0.05, 0.0) == 0.0
-    grid = np.geomspace(1e-2, 300.0, 200)
-    assert np.all(core.v_inner(p, 0.5, 0.0, grid) < 0.0)
-    inner = grid[grid < 1.0 / 0.05]
-    assert np.all(core.v_inner(p, 0.5, 0.05, inner) < 0.0)
+    assert profile.i1(10.0) - profile.i1(profile.r_start) == pytest.approx(
+        ref, abs=5e-9)
 
 
 def test_tail_constant_radius_stability():
@@ -260,25 +221,34 @@ def test_tail_constant_outside_range_rejected():
 
 
 def test_tail_constant_reads_i1_alone():
-    # the tail constant drops I2, so it must not build the 30,001-point
-    # quadrature spline that I2 is read from (about 10 ms per profile)
+    # a fresh solve and the cached one give the same constant
     p = core.solve_profile.__wrapped__(1)
     tail = core.tail_constant(p)
-    assert "_i2_spline" not in p.__dict__
     assert tail.value == core.tail_constant(core.solve_profile(1)).value
-    assert p.i1(p.r_max) == p.moments(p.r_max)[0]
 
 
 def test_moments_and_v_inner_refuse_past_solved_range():
     p = core.solve_profile(1)
     with pytest.raises(ValueError, match="solved range"):
-        p.moments(2.0 * p.r_max)
+        p.i1(2.0 * p.r_max)
     with pytest.raises(ValueError, match="solved range"):
-        p.moments(0.5 * p.r_start)
+        p.i1(0.5 * p.r_start)
     with pytest.raises(ValueError, match="solved range"):
-        core.v_inner(p, 0.5, 0.05, np.array([1.0, 2.0 * p.r_max]))
+        p.i1(np.array([1.0, 2.0 * p.r_max]))
     # the ends themselves are in range
-    assert np.all(np.isfinite(p.moments(np.array([p.r_start, p.r_max]))))
+    assert np.all(np.isfinite(p.i1(np.array([p.r_start, p.r_max]))))
+
+
+def test_tail_constant_names_its_halving_radius():
+    # below 2 r_start the halving read at r_eval/2 leaves the solved range;
+    # the refusal names that radius, which the caller never passed
+    p = core.solve_profile(1)
+    r_eval = 1.5 * p.r_start
+    with pytest.raises(ValueError) as exc:
+        core.tail_constant(p, r_eval)
+    assert str(exc.value) == (
+        f"I1 is read only inside the solved range [r_start, r_max] = "
+        f"[{p.r_start!r}, {p.r_max!r}], got r = {0.5 * r_eval!r}")
 
 
 def test_piecewise_pieces_and_return_convention():
@@ -308,8 +278,11 @@ def test_origin_law_in_one_place():
     slope = core.origin_slope(2, 0.5, 0.1)
     assert slope == -0.5 * (1.0 - 0.1 ** 2) / 6
     r = 0.25 * p.r_start
+    # a twisted profile's phase gradient follows the law below the cut
+    twisted, _ = solver.solve_spiral(2, 0.5)
+    assert twisted.v_at(r) == core.origin_law(2, 0.5, twisted.k,
+                                              twisted.c_f, r)
     law = core.origin_law(2, 0.5, 0.1, p.c_f, r)
-    assert core.v_inner(p, 0.5, 0.1, r) == law
     assert law == pytest.approx(
         slope * r * (1.0 + r * r / 24.0) + 0.5 * p.c_f ** 2 * r ** 5 / 10,
         rel=1e-15)

@@ -475,6 +475,21 @@ def test_refusal_messages(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+def test_refuses_nonfinite_arm_count(n):
+    # int() of an infinite n raised OverflowError, which escaped the
+    # sweep's per-twist isolation; int() of nan raised its own message
+    message = ARMS + repr(n)
+    for call in (lambda: core.check_arms(n), lambda: core.solve_profile(n),
+                 lambda: solver.solve_spiral(n, 0.5),
+                 lambda: solver.solve_spiral(n, 0.0)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    (report,) = solver.wavenumber_sweep(n, [0.5])
+    assert report.status == 2 and report.message == message
+
+
 def _slope_and_curvature(n, x, y, dy):
     # f' = z + a f from the rows (f, z, w), and f'' = z' + a' f + a f',
     # with a read off core.slope_from_z and a' by a complex step

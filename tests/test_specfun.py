@@ -245,11 +245,19 @@ def test_theta0_at_zero():
 @pytest.mark.parametrize("k,nu,message", [
     (-1, 0.2, "index must be a nonnegative integer, got -1"),
     (0.5, 0.2, "index must be a nonnegative integer, got 0.5"),
-    (0, -0.1, "order magnitude must be nonnegative, got nu=-0.1"),
 ])
 def test_gamma_arg_refusals(k, nu, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         sf.gamma_arg(k, nu)
+
+
+@pytest.mark.parametrize("nu", [-0.1, math.nan, math.inf])
+def test_gamma_arg_refuses_order_outside_half_line(nu):
+    # nan and inf once passed the nu < 0 test and returned nan
+    with pytest.raises(ValueError) as exc:
+        sf.gamma_arg(0, nu)
+    assert str(exc.value) == ("order magnitude must be nonnegative and "
+                              f"finite, got nu={nu!r}")
 
 
 @settings(max_examples=60, deadline=None)

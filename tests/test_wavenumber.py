@@ -131,29 +131,6 @@ def test_matching_root_against_mpmath():
                 float(ref), rel=1e-15)
 
 
-def test_geometry_values():
-    g = wn.matching_geometry(1, 0.05, cn=CN[1])
-    rho = (0.05 / abs(math.log(0.05))) ** (1.0 / 3.0)
-    assert g.rho == pytest.approx(rho, rel=1e-14)
-    assert g.log_r0 == pytest.approx(rho / 0.05 - 0.5 * math.log(2.0), rel=1e-14)
-    assert g.r0 == pytest.approx(math.exp(g.log_r0), rel=1e-14)
-
-
-def test_geometry_exponents_converge():
-    d_coarse = abs(wn.matching_geometry(1, 0.05, cn=CN[1]).alpha_measured
-                   - wn.matching_geometry(1, 0.05, cn=CN[1]).alpha_design)
-    d_fine = abs(wn.matching_geometry(1, 0.005, cn=CN[1]).alpha_measured
-                 - wn.matching_geometry(1, 0.005, cn=CN[1]).alpha_design)
-    assert d_coarse < 0.02
-    assert d_fine < d_coarse / 5.0
-
-
-def test_geometry_radius_overflow_keeps_log():
-    g = wn.matching_geometry(1, 1e-6, cn=CN[1])
-    assert math.isinf(g.r0)
-    assert math.isfinite(g.log_r0)
-
-
 def test_domain_errors():
     with pytest.raises(ValueError, match="mirror"):
         wn.kappa_asym(1, -0.5, cn=CN[1])
@@ -163,8 +140,6 @@ def test_domain_errors():
         wn.kappa_asym(0, 0.5, cn=0.0)
     with pytest.raises(ValueError):
         wn.kappa_asym(1.5, 0.5, cn=0.0)
-    with pytest.raises(ValueError):
-        wn.matching_geometry(1, 1.0, cn=CN[1])
     with pytest.raises(ValueError):
         wn.leading_matching_residual(1, 0.5, -1.0, CN[1])
     for q in (math.nan, math.inf):
